@@ -5,8 +5,10 @@ cell counts (critical), the reference table of Betti numbers (table),
 plain-text and JSON exports (export), invariant checking (verify), and an
 apex-graph dump (inspect).
 
-Exit codes: 0 success, 2 invalid arguments, 3 a configured cap refused the
-computation, 1 a verify check failed.
+Exit codes: 0 success, 2 invalid arguments (including --threads below 1
+and a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer), 3 a
+configured cap refused the computation, 1 a verify check failed or a
+gradient flow ran over its budget (FlowBudgetExceeded).
 """
 
 from __future__ import annotations
@@ -26,22 +28,35 @@ from .homology import AuditFailure, audit, betti, parse_field, validate_d2
 EXIT_CAP = 3
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _common(parser):
-    parser.add_argument("--threads", type=int, help="worker processes")
+    parser.add_argument("--threads", type=_positive_int, help="worker processes")
     parser.add_argument("--cell-cap", type=int, help="max cells for direct builds")
     parser.add_argument("--flow-budget", type=int, help="max gradient flow steps")
     parser.add_argument("--vertex-cap", type=int, help="max lines for vertex exports")
     parser.add_argument("--config", help="JSON config file")
 
 
-def _cfg(args):
-    return load_config(
-        args.config,
-        threads=args.threads,
-        cell_cap=args.cell_cap,
-        flow_budget=args.flow_budget,
-        vertex_cap=args.vertex_cap,
-    )
+def _cfg(parser, args):
+    try:
+        return load_config(
+            args.config,
+            threads=args.threads,
+            cell_cap=args.cell_cap,
+            flow_budget=args.flow_budget,
+            vertex_cap=args.vertex_cap,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _instance_args(parser):
@@ -67,7 +82,7 @@ def _parse_field_arg(parser, spec):
 
 def cmd_betti(parser, args):
     _check_instance(parser, args)
-    cfg = _cfg(args)
+    cfg = _cfg(parser, args)
     field = _parse_field_arg(parser, args.field)
     n, p, q = args.n, args.p, args.q
     if args.method == "direct":
@@ -95,7 +110,7 @@ def cmd_betti(parser, args):
 
 def cmd_fvector(parser, args):
     _check_instance(parser, args)
-    cfg = _cfg(args)
+    cfg = _cfg(parser, args)
     fv = grid.f_vector(args.n, args.p, args.q, threads=cfg.threads)
     print(" ".join(str(x) for x in fv))
     return 0
@@ -121,7 +136,7 @@ def cmd_critical(parser, args):
 
 
 def cmd_table(parser, args):
-    cfg = _cfg(args)
+    cfg = _cfg(parser, args)
     field = _parse_field_arg(parser, args.field)
     k = args.max_n
     out = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -153,7 +168,7 @@ def cmd_table(parser, args):
 
 def cmd_export(parser, args):
     _check_instance(parser, args)
-    cfg = _cfg(args)
+    cfg = _cfg(parser, args)
     n, p, q = args.n, args.p, args.q
     if args.format == "vertex-list":
         count = math.perm(p * q, n)
@@ -301,7 +316,7 @@ def _verify_checks(n, p, q, cfg, deep):
 
 def cmd_verify(parser, args):
     _check_instance(parser, args)
-    cfg = _cfg(args)
+    cfg = _cfg(parser, args)
     failures = 0
     for name, check in _verify_checks(args.n, args.p, args.q, cfg, args.deep):
         try:

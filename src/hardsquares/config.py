@@ -2,7 +2,9 @@
 
 Precedence: explicit keyword overrides (CLI flags), then the environment
 variables HARDSQ_THREADS and HARDSQ_CELL_CAP, then an optional JSON config
-file, then defaults.
+file, then defaults.  The thread count is clamped to [1, os.cpu_count()],
+since each thread is a forked worker process.  A value that is not an
+integer raises ValueError.
 """
 
 from __future__ import annotations
@@ -40,11 +42,14 @@ def load_config(path=None, env=None, **overrides):
         for key in values:
             if key in data:
                 values[key] = int(data[key])
-    if "HARDSQ_THREADS" in env:
-        values["threads"] = int(env["HARDSQ_THREADS"])
-    if "HARDSQ_CELL_CAP" in env:
-        values["cell_cap"] = int(env["HARDSQ_CELL_CAP"])
+    for key, var in (("threads", "HARDSQ_THREADS"), ("cell_cap", "HARDSQ_CELL_CAP")):
+        if var in env:
+            try:
+                values[key] = int(env[var])
+            except ValueError:
+                raise ValueError(f"{var} must be an integer, got {env[var]!r}") from None
     for key, val in overrides.items():
         if val is not None:
             values[key] = int(val)
+    values["threads"] = max(1, min(values["threads"], default_threads()))
     return Config(**values)

@@ -1,16 +1,20 @@
 """Exact linear algebra for chain complexes of free abelian groups.
 
-Boundary matrices are stored as sparse integer triplets.  Ranks are
-computed over GF(2) with packed bit rows, over GF(p) by modular
-elimination, and over the rationals by fraction-free integer elimination;
-Betti numbers follow from the rank formula.  Pivoting always takes the
-first nonzero entry in row-major order, so results are deterministic.
+Boundary matrices are stored as sparse integer triplets.  Every Betti
+number, whether of a Morse complex or of a full cubical complex, comes
+from betti_of_stream: the complex is shrunk by reduce.reduce_complex and
+the ranks of what is left, from one sparse row elimination that works
+over GF(p) and over the rationals, give the Betti numbers.  Pivoting
+always takes the first nonzero entry in row-major order, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+from .reduce import reduce_complex
 
 
 class SparseMatrix(NamedTuple):
@@ -54,100 +58,44 @@ def parse_field(spec):
     raise ValueError(f"unknown field {spec!r}")
 
 
-def _rank_gf2(matrix):
-    "Row echelon over GF(2) with rows packed into integers."
-    rows = [0] * matrix.rows
-    for r, c, v in matrix.entries:
-        if v & 1:
-            rows[r] ^= 1 << c
-    pivots = {}
-    rank = 0
-    for row in rows:
-        while row:
-            low = (row & -row).bit_length() - 1
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = row
-                rank += 1
-                break
-            row ^= piv
-    return rank
+def rank(matrix, field="gf2"):
+    """Rank of a sparse integer matrix over the given field.
 
-
-def _sparse_rows(matrix, modulus=0):
+    Sparse row elimination: a row whose leading column already has a pivot
+    row is replaced by b*row - a*pivot, where a and b are the two leading
+    entries.  Over GF(p) entries are taken mod p; over the rationals each
+    combined row is divided by the gcd of its entries, so the arithmetic
+    stays exact in the integers.
+    """
+    _, p = parse_field(field) if isinstance(field, str) else field
     rows = [dict() for _ in range(matrix.rows)]
     for r, c, v in matrix.entries:
-        if modulus:
-            v %= modulus
+        if p:
+            v %= p
         if v:
             rows[r][c] = v
-    return rows
-
-
-def _rank_gfp(matrix, p):
-    "Modular elimination on sparse rows; pivot rows are scaled to lead by 1."
     pivots = {}
-    rank = 0
-    for row in _sparse_rows(matrix, p):
+    for row in rows:
         while row:
             c = min(row)
             piv = pivots.get(c)
             if piv is None:
-                inv = pow(row[c], p - 2, p)
-                pivots[c] = {k: (v * inv) % p for k, v in row.items()}
-                rank += 1
-                break
-            f = row[c]
-            for k, v in piv.items():
-                nv = (row.get(k, 0) - f * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-    return rank
-
-
-def _rank_rational(matrix):
-    """Rank over the rationals by fraction-free elimination on integers.
-
-    Rows are combined by cross-multiplication and stripped by their gcd, so
-    all arithmetic stays in the integers and is exact.
-    """
-    pivots = {}
-    rank = 0
-    for row in _sparse_rows(matrix):
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                g = math.gcd(*row.values())
-                if row[c] < 0:
-                    g = -g
-                pivots[c] = {k: v // g for k, v in row.items()}
-                rank += 1
+                pivots[c] = row
                 break
             a = row[c]
             b = piv[c]
             new = {}
             for k in row.keys() | piv.keys():
                 v = b * row.get(k, 0) - a * piv.get(k, 0)
+                if p:
+                    v %= p
                 if v:
                     new[k] = v
-            if new:
+            if new and not p:
                 g = math.gcd(*new.values())
                 new = {k: v // g for k, v in new.items()}
             row = new
-    return rank
-
-
-def rank(matrix, field="gf2"):
-    """Rank of a sparse integer matrix over the given field."""
-    kind, p = parse_field(field) if isinstance(field, str) else field
-    if kind == "rational":
-        return _rank_rational(matrix)
-    if p == 2:
-        return _rank_gf2(matrix)
-    return _rank_gfp(matrix, p)
+    return len(pivots)
 
 
 def validate_d2(cc):
@@ -180,46 +128,40 @@ def trim(numbers):
     return tuple(out)
 
 
-REDUCE_THRESHOLD = 2000
-
-
 def betti(cc, field="gf2", validate=None):
     """Betti numbers of a chain complex over the given field.
 
-    beta_j = dim C_j - rank d_j - rank d_{j+1}, trailing zeros trimmed.
-    All but small complexes are first shrunk by homology-preserving
-    unit-pivot cancellation (exact over the integers, so valid for every
-    field); ranks are then taken on the remainder.
+    The composite of consecutive boundaries is checked first (by default
+    for complexes up to 200,000 cells); see betti_of_stream for the rest.
     """
-    fieldpair = parse_field(field) if isinstance(field, str) else field
     counts = cc.counts
-    if not counts or sum(counts) == 0:
-        return ()
     if validate is None:
         validate = sum(counts) <= 200_000
     if validate:
         validate_d2(cc)
-    if sum(counts) > REDUCE_THRESHOLD:
-        from .reduce import reduce_complex
+    stream = (
+        (j, r, c, v) for j in range(1, len(counts)) for r, c, v in cc.boundaries[j]
+    )
+    return betti_of_stream(counts, stream, field)
 
-        def stream():
-            for j in range(1, len(counts)):
-                for r, c, v in cc.boundaries[j]:
-                    yield (j, r, c, v)
 
-        seeds, counts2, tris2 = reduce_complex(counts, stream())
-        cc = ChainComplex(tuple(counts2), tuple(tuple(t) for t in tris2))
-        base = [seeds if j == 0 else 0 for j in range(len(counts))]
-    else:
-        base = [0] * len(counts)
-    ranks = [0] * (len(cc.counts) + 1)
-    for j in range(1, len(cc.counts)):
-        ranks[j] = rank(cc.matrix(j), fieldpair)
-    out = []
-    for j in range(len(counts)):
-        m = cc.counts[j] if j < len(cc.counts) else 0
-        out.append(base[j] + m - ranks[j] - (ranks[j + 1] if j + 1 <= len(cc.counts) else 0))
-    return trim(out)
+def betti_of_stream(counts, triples, field="gf2"):
+    """Betti numbers from cell counts and (degree, row, col, value) entries.
+
+    The complex is shrunk by reduce_complex, which is exact over the
+    integers and so valid for every field.  Then
+    beta_j = seeds*[j == 0] + dim C_j - rank d_j - rank d_{j+1}
+    on what is left, trailing zeros trimmed.
+    """
+    fieldpair = parse_field(field) if isinstance(field, str) else field
+    seeds, counts, tris = reduce_complex(counts, triples)
+    ranks = [0] * (len(counts) + 1)
+    for j in range(1, len(counts)):
+        ranks[j] = rank(SparseMatrix(counts[j - 1], counts[j], tris[j]), fieldpair)
+    return trim(
+        (seeds if j == 0 else 0) + counts[j] - ranks[j] - ranks[j + 1]
+        for j in range(len(counts))
+    )
 
 
 class AuditFailure(AssertionError):

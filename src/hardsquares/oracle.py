@@ -13,8 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import grid
-from .homology import ChainComplex, parse_field, rank, trim
-from .reduce import reduce_complex
+from .homology import ChainComplex, betti_of_stream
 
 DEFAULT_CELL_CAP = 2_000_000
 
@@ -90,27 +89,12 @@ def build_chain_complex(n, p, q, cap=DEFAULT_CELL_CAP):
 def direct_betti(n, p, q, field="gf2", cap=DEFAULT_CELL_CAP):
     """Betti numbers computed from the full complex, no gradient involved.
 
-    The complex is shrunk by homology-preserving unit-pivot cancellation
-    (exact over the integers, hence valid for every field) and the ranks
-    of the small remainder give the Betti numbers.
+    The boundary entries are streamed from a second enumeration into
+    homology.betti_of_stream, so the complex is never materialized.
     """
-    fv, total = check_cap(n, p, q, cap)
-    if total == 0:
-        return ()
-    fieldpair = parse_field(field) if isinstance(field, str) else field
+    check_cap(n, p, q, cap)
     ids, counts = _assign_ids(n, p, q)
-    seeds, counts2, tris2 = reduce_complex(
-        counts, _triple_stream(n, p, q, ids), unit_coefficients=True
-    )
-    cc = ChainComplex(tuple(counts2), tuple(tuple(t) for t in tris2))
-    ranks = [0] * (len(counts2) + 1)
-    for j in range(1, len(counts2)):
-        ranks[j] = rank(cc.matrix(j), fieldpair)
-    out = []
-    for j in range(len(counts2)):
-        extra = seeds if j == 0 else 0
-        out.append(extra + counts2[j] - ranks[j] - ranks[j + 1])
-    return trim(out)
+    return betti_of_stream(counts, _triple_stream(n, p, q, ids), field)
 
 
 def conf_plane_betti(n):

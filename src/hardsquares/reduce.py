@@ -5,12 +5,14 @@ acyclic two-cell subcomplex, so homology over every coefficient field is
 unchanged.  The update touches only the other columns containing a:
 d'c = dc - ([dc:a]/[db:a]) db.
 
-Two schedules are combined.  When every coefficient is +-1 (a cubical
-complex straight from enumeration), a cascade of free-coface cancellations
-seeded by vertex removals eats most of the complex with zero fill-in; each
-seeded vertex is a free generator of H_0.  What survives, or any complex
-with general integer coefficients, is finished by greedy unit-pivot
-elimination with a smallest-fill-first heap.
+Two schedules are combined.  When every 1-cell boundary is empty or of
+the form x - y (true of cubical and of Morse complexes), the map sending
+each vertex to 1 is an augmentation, so a vertex can be split off as a
+free generator of H_0; a cascade of free-coface cancellations seeded by
+such vertex removals then eats most of the complex with zero fill-in.
+What survives, or any complex whose 1-cell boundaries are not of that
+form, is finished by greedy unit-pivot elimination with a
+smallest-fill-first heap.
 """
 
 from __future__ import annotations
@@ -19,13 +21,12 @@ import heapq
 from collections import deque
 
 
-def reduce_complex(counts, triples, unit_coefficients=False):
+def reduce_complex(counts, triples):
     """Shrink a chain complex without changing its homology.
 
     counts: cells per dimension.  triples: iterable of (degree, row, col,
-    value) boundary entries.  With unit_coefficients=True the input must
-    have only +-1 entries (true for cubical boundaries); this enables the
-    zero-fill coreduction phase.
+    value) boundary entries.  The coreduction phase runs only when every
+    1-cell boundary is empty or x - y.
 
     Returns (seed_vertices, remaining_counts, remaining_triples) where
     seed_vertices counts free H_0 generators split off during coreduction:
@@ -35,10 +36,6 @@ def reduce_complex(counts, triples, unit_coefficients=False):
     for m in counts:
         offs.append(offs[-1] + m)
     total = offs[-1]
-    dim_of = bytearray(total)
-    for d in range(len(counts)):
-        for g in range(offs[d], offs[d + 1]):
-            dim_of[g] = d
     bnd = [dict() for _ in range(total)]
     cob = [[] for _ in range(total)]
     for d, r, c, v in triples:
@@ -49,8 +46,9 @@ def reduce_complex(counts, triples, unit_coefficients=False):
     alive = bytearray(b"\x01") * total
 
     seeds = 0
-    if unit_coefficients:
-        seeds = _coreduce(counts, offs, bnd, cob, alive)
+    edges = bnd[offs[1]:offs[2]] if len(counts) > 1 else ()
+    if counts and all(not col or sorted(col.values()) == [-1, 1] for col in edges):
+        seeds = _coreduce(counts[0], bnd, cob, alive)
     _greedy(bnd, cob, alive, total)
 
     remap = {}
@@ -72,7 +70,7 @@ def reduce_complex(counts, triples, unit_coefficients=False):
     return seeds, counts2, tris2
 
 
-def _coreduce(counts, offs, bnd, cob, alive):
+def _coreduce(nvert, bnd, cob, alive):
     "Zero-fill cancellation cascade; returns the number of seeded vertices."
     queue = deque(g for g in range(len(bnd)) if len(bnd[g]) == 1)
 
@@ -87,33 +85,29 @@ def _coreduce(counts, offs, bnd, cob, alive):
                         queue.append(c)
         cob[x] = []
 
-    seeds = 0
-    vptr = 0
-    nvert = counts[0] if counts else 0
-    while True:
+    def cascade():
         while queue:
             b = queue.popleft()
             if not alive[b] or len(bnd[b]) != 1:
                 continue
             ((a, lam),) = bnd[b].items()
             if lam not in (1, -1):
-                raise ValueError("coreduction requires unit coefficients")
+                continue  # left for the greedy phase
             alive[a] = 0
             alive[b] = 0
             bnd[b].clear()
             bnd[a].clear()
             drop_row(b)
             drop_row(a)
-        while vptr < nvert and not alive[vptr]:
-            vptr += 1
-        if vptr < nvert:
-            v = vptr
+
+    seeds = 0
+    cascade()
+    for v in range(nvert):
+        if alive[v]:
             alive[v] = 0
             seeds += 1
             drop_row(v)
-            vptr += 1
-            continue
-        break
+            cascade()
     return seeds
 
 

@@ -1,9 +1,11 @@
 import json
 import math
+import os
 
 import pytest
 
 from hardsquares import cli, grid, morse
+from hardsquares.config import load_config
 
 
 def run(capsys, *argv):
@@ -226,3 +228,25 @@ def test_thread_determinism(capsys, monkeypatch):
         outputs.append(out)
     assert outputs[0] == outputs[2]
     assert outputs[1] == outputs[3]
+
+
+def test_threads_clamped_to_cpu_count():
+    cpus = os.cpu_count() or 1
+    assert load_config(env={}, threads=10**6).threads == cpus
+    assert load_config(env={}, threads=0).threads == 1
+    assert load_config(env={"HARDSQ_THREADS": str(10**6)}).threads == cpus
+    assert load_config(env={"HARDSQ_THREADS": "-3"}).threads == 1
+
+
+def test_bad_threads_exit_2(capsys, monkeypatch):
+    argv = ["fvector", "--n", "2", "--p", "2", "--q", "2"]
+    for extra in (["--threads", "0"], ["--threads", "-2"], ["--threads", "two"]):
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + extra)
+        assert err.value.code == 2
+    for value in ("abc", "2.5"):
+        monkeypatch.setenv("HARDSQ_THREADS", value)
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+    assert "HARDSQ_THREADS" in capsys.readouterr().err
