@@ -5,10 +5,12 @@ cell counts (critical), the reference table of Betti numbers (table),
 plain-text and JSON exports (export), invariant checking (verify), and an
 apex-graph dump (inspect).
 
-Exit codes: 0 success, 2 invalid arguments (including --threads below 1
-and a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer), 3 a
-configured cap refused the computation, 1 a verify check failed or a
-gradient flow ran over its budget (FlowBudgetExceeded).
+Exit codes: 0 success, 2 invalid arguments (including --threads below 1,
+a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, and a --config
+file that is missing, unreadable, not a JSON object or has a value that
+is not an integer), 3 a configured cap refused the computation, 1 a verify
+check failed or a gradient flow ran over its budget (FlowBudgetExceeded),
+4 a worker process died (BrokenProcessPool).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import itertools
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 from . import grid, morse, oracle
 from .apexgraph import ApexGraph
@@ -26,6 +29,7 @@ from .config import load_config
 from .homology import AuditFailure, audit, betti, parse_field, validate_d2
 
 EXIT_CAP = 3
+EXIT_WORKER = 4
 
 
 def _positive_int(text):
@@ -139,11 +143,11 @@ def cmd_table(parser, args):
     cfg = _cfg(parser, args)
     field = _parse_field_arg(parser, args.field)
     k = args.max_n
+    if k < 2:
+        print("warning: no table rows for max-n below 2", file=sys.stderr)
+        return 0
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        if k < 2:
-            print("warning: no table rows for max-n below 2", file=sys.stderr)
-            return 0
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
             ["n", "p", "q"] + [f"b{j}" for j in range(k)] + ["regimes"]
@@ -410,6 +414,9 @@ def main(argv=None):
     except morse.FlowBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenProcessPool as exc:
+        print(f"error: a worker process died: {exc}", file=sys.stderr)
+        return EXIT_WORKER
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Precedence: explicit keyword overrides (CLI flags), then the environment
 variables HARDSQ_THREADS and HARDSQ_CELL_CAP, then an optional JSON config
 file, then defaults.  The thread count is clamped to [1, os.cpu_count()],
 since each thread is a forked worker process.  A value that is not an
-integer raises ValueError.
+integer, a config file that cannot be read and one that does not hold a
+JSON object raise ValueError (invalid JSON already does).
 """
 
 from __future__ import annotations
@@ -37,19 +38,33 @@ def load_config(path=None, env=None, **overrides):
         "vertex_cap": DEFAULT_VERTEX_CAP,
     }
     if path:
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config file {path!r}: {exc.strerror}") from None
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"config file {path!r} must hold a JSON object, not {type(data).__name__}"
+            )
         for key in values:
             if key in data:
-                values[key] = int(data[key])
+                values[key] = _integer(data[key], f"config key {key!r}")
     for key, var in (("threads", "HARDSQ_THREADS"), ("cell_cap", "HARDSQ_CELL_CAP")):
         if var in env:
-            try:
-                values[key] = int(env[var])
-            except ValueError:
-                raise ValueError(f"{var} must be an integer, got {env[var]!r}") from None
+            values[key] = _integer(env[var], var)
     for key, val in overrides.items():
         if val is not None:
             values[key] = int(val)
     values["threads"] = max(1, min(values["threads"], default_threads()))
     return Config(**values)
+
+
+def _integer(value, name):
+    "An int, or a string of one; floats and booleans are refused, not truncated."
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -3,15 +3,19 @@
 Boundary matrices are stored as sparse integer triplets.  Every Betti
 number, whether of a Morse complex or of a full cubical complex, comes
 from betti_of_stream: the complex is shrunk by reduce.reduce_complex and
-the ranks of what is left, from one sparse row elimination that works
-over GF(p) and over the rationals, give the Betti numbers.  Pivoting
-always takes the first nonzero entry in row-major order, so results are
+the ranks of what is left give the Betti numbers.  The route depends on
+the field.  Over GF(2) only the coreduction cascade of reduce_complex
+runs, and rank uses bit-packed column elimination.  Over GF(p) and the
+rationals the greedy phase of reduce_complex runs too, and rank uses
+sparse row elimination.  Pivots are chosen by fixed rules, so results are
 deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .reduce import reduce_complex
@@ -58,16 +62,40 @@ def parse_field(spec):
     raise ValueError(f"unknown field {spec!r}")
 
 
+_col = itemgetter(1)
+
+
 def rank(matrix, field="gf2"):
     """Rank of a sparse integer matrix over the given field.
 
-    Sparse row elimination: a row whose leading column already has a pivot
-    row is replaced by b*row - a*pivot, where a and b are the two leading
-    entries.  Over GF(p) entries are taken mod p; over the rationals each
-    combined row is divided by the gcd of its entries, so the arithmetic
-    stays exact in the integers.
+    Over GF(2), bit-packed column elimination: each column is a Python int
+    over rows, its pivot is its highest set bit, and it is XORed with the
+    stored column of that pivot until it is zero or has a new pivot.  A
+    column's int is built only when that column's turn comes, and is kept
+    only if it becomes a pivot.
+
+    Over other fields, sparse row elimination: a row whose leading column
+    already has a pivot row is replaced by b*row - a*pivot, where a and b
+    are the two leading entries.  Over GF(p) entries are taken mod p; over
+    the rationals each combined row is divided by the gcd of its entries,
+    so the arithmetic stays exact in the integers.
     """
     _, p = parse_field(field) if isinstance(field, str) else field
+    if p == 2:
+        pivots = {}
+        for _, entries in groupby(sorted(matrix.entries, key=_col), _col):
+            bits = 0
+            for r, _, v in entries:
+                if v & 1:
+                    bits ^= 1 << r
+            while bits:
+                top = bits.bit_length() - 1
+                piv = pivots.get(top)
+                if piv is None:
+                    pivots[top] = bits
+                    break
+                bits ^= piv
+        return len(pivots)
     rows = [dict() for _ in range(matrix.rows)]
     for r, c, v in matrix.entries:
         if p:
@@ -149,15 +177,20 @@ def betti_of_stream(counts, triples, field="gf2"):
     """Betti numbers from cell counts and (degree, row, col, value) entries.
 
     The complex is shrunk by reduce_complex, which is exact over the
-    integers and so valid for every field.  Then
+    integers and so valid for every field.  Over GF(2) only its
+    coreduction cascade runs, since the bit-packed column rank finishes
+    what is left faster than greedy elimination would; over GF(p) and the
+    rationals greedy unit-pivot elimination follows, because the row
+    elimination is slow on large inputs.  Then
     beta_j = seeds*[j == 0] + dim C_j - rank d_j - rank d_{j+1}
     on what is left, trailing zeros trimmed.
     """
     fieldpair = parse_field(field) if isinstance(field, str) else field
-    seeds, counts, tris = reduce_complex(counts, triples)
+    seeds, counts, tris = reduce_complex(counts, triples, greedy=fieldpair[1] != 2)
     ranks = [0] * (len(counts) + 1)
     for j in range(1, len(counts)):
         ranks[j] = rank(SparseMatrix(counts[j - 1], counts[j], tris[j]), fieldpair)
+        tris[j] = None  # freed before the next rank, whose pivots can set peak memory
     return trim(
         (seeds if j == 0 else 0) + counts[j] - ranks[j] - ranks[j + 1]
         for j in range(len(counts))

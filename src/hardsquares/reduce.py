@@ -12,7 +12,9 @@ free generator of H_0; a cascade of free-coface cancellations seeded by
 such vertex removals then eats most of the complex with zero fill-in.
 What survives, or any complex whose 1-cell boundaries are not of that
 form, is finished by greedy unit-pivot elimination with a
-smallest-fill-first heap.
+smallest-fill-first heap, unless the caller turns that phase off:
+homology does so over GF(2), where its bit-packed column rank finishes
+the complex faster than the greedy phase would.
 """
 
 from __future__ import annotations
@@ -21,12 +23,13 @@ import heapq
 from collections import deque
 
 
-def reduce_complex(counts, triples):
+def reduce_complex(counts, triples, greedy=True):
     """Shrink a chain complex without changing its homology.
 
     counts: cells per dimension.  triples: iterable of (degree, row, col,
     value) boundary entries.  The coreduction phase runs only when every
-    1-cell boundary is empty or x - y.
+    1-cell boundary is empty or x - y; the greedy phase runs only when
+    greedy is true.
 
     Returns (seed_vertices, remaining_counts, remaining_triples) where
     seed_vertices counts free H_0 generators split off during coreduction:
@@ -49,7 +52,8 @@ def reduce_complex(counts, triples):
     edges = bnd[offs[1]:offs[2]] if len(counts) > 1 else ()
     if counts and all(not col or sorted(col.values()) == [-1, 1] for col in edges):
         seeds = _coreduce(counts[0], bnd, cob, alive)
-    _greedy(bnd, cob, alive, total)
+    if greedy:
+        _greedy(bnd, cob, alive, total)
 
     remap = {}
     counts2 = [0] * len(counts)
@@ -92,7 +96,7 @@ def _coreduce(nvert, bnd, cob, alive):
                 continue
             ((a, lam),) = bnd[b].items()
             if lam not in (1, -1):
-                continue  # left for the greedy phase
+                continue  # left for the greedy phase, or for rank
             alive[a] = 0
             alive[b] = 0
             bnd[b].clear()

@@ -113,9 +113,14 @@ def test_table_command(capsys):
     assert len(lines) == 2
 
 
-def test_table_small_k_warns(capsys):
+def test_table_small_k_warns(capsys, tmp_path):
     code, out, err = run(capsys, "table", "--max-n", "1")
     assert code == 0 and out == "" and "warning" in err
+    target = tmp_path / "table.csv"
+    target.write_text("kept\n")
+    code, out, err = run(capsys, "table", "--max-n", "1", "--out", str(target))
+    assert code == 0 and out == "" and "warning" in err
+    assert target.read_text() == "kept\n"
 
 
 def test_table_out_file(capsys, tmp_path):
@@ -250,3 +255,48 @@ def test_bad_threads_exit_2(capsys, monkeypatch):
             cli.main(argv)
         assert err.value.code == 2
     assert "HARDSQ_THREADS" in capsys.readouterr().err
+
+
+def test_bad_config_exit_2(capsys, tmp_path):
+    argv = ["fvector", "--n", "2", "--p", "2", "--q", "2", "--config"]
+    array = tmp_path / "array.json"
+    array.write_text("[1, 2]")
+    broken = tmp_path / "broken.json"
+    broken.write_text("{")
+    word = tmp_path / "word.json"
+    word.write_text('{"cell_cap": "lots"}')
+    cases = (
+        (tmp_path / "missing.json", "cannot read"),
+        (array, "JSON object"),
+        (broken, ""),
+        (word, "'cell_cap'"),
+    )
+    for path, message in cases:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + [str(path)])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_config_values_must_be_integers(tmp_path):
+    for text in ('{"threads": null}', '{"threads": 2.5}', '{"threads": true}'):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="'threads'"):
+            load_config(bad, env={})
+    good = tmp_path / "good.json"
+    good.write_text('{"cell_cap": 10, "flow_budget": "20"}')
+    cfg = load_config(good, env={})
+    assert (cfg.cell_cap, cfg.flow_budget) == (10, 20)
+
+
+def test_dead_worker_exit_4(capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    def broken(*args, **kwargs):
+        raise BrokenProcessPool("a child process terminated abruptly")
+
+    monkeypatch.setattr(grid, "f_vector", broken)
+    code, out, err = run(capsys, "fvector", "--n", "2", "--p", "2", "--q", "2")
+    assert code == 4 and out == ""
+    assert err.startswith("error: a worker process died")

@@ -1,5 +1,6 @@
 import pytest
 
+from hardsquares import reduce
 from hardsquares.homology import (
     AuditFailure,
     ChainComplex,
@@ -168,3 +169,19 @@ def test_reduce_preserves_betti_without_units():
 
 def test_betti_empty():
     assert betti(ChainComplex((), ()), "gf2") == ()
+
+
+def test_gf2_skips_greedy_elimination(monkeypatch):
+    cc = shared.morse_complex(4, 3, 4).chain_complex()
+    calls = []
+
+    def greedy(*args):
+        calls.append(args)
+        raise AssertionError("greedy elimination ran")
+
+    monkeypatch.setattr(reduce, "_greedy", greedy)
+    assert betti(cc, "gf2") == (1, 6, 29)
+    assert not calls
+    with pytest.raises(AssertionError, match="greedy elimination ran"):
+        betti(cc, "gf3")
+    assert len(calls) == 1

@@ -1,4 +1,8 @@
-"""Property tests: Betti numbers of random signed cubical complexes.
+"""Property tests: rank and Betti numbers against dense references.
+
+rank is checked on random integer matrices with dependent columns, over
+GF(2) (bit-packed columns, so more than 64 rows make a column span several
+machine words), GF(3) and the rationals.
 
 Each example is a face-closed set of cells of a small 2- or 3-dimensional
 cubical grid in which every cell's basis vector may be negated.  Negating
@@ -8,7 +12,8 @@ coreduction gate of reduce_complex.  The boundary of a cell that is no
 other cell's facet may also be multiplied by 2 or 3: d o d stays zero,
 the homology gains torsion, and an edge scaled so has a boundary that no
 sign change makes x - y, which is where splitting off vertices as free
-H_0 generators would give wrong answers.
+H_0 generators would give wrong answers.  Renumbering the cells of each
+dimension must leave every Betti number unchanged.
 """
 
 from fractions import Fraction
@@ -19,7 +24,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hardsquares.homology import ChainComplex, betti, trim
+from hardsquares.homology import ChainComplex, SparseMatrix, betti, rank, trim
 
 SHAPES = ((1, 3), (2, 2), (3, 3), (1, 2, 2), (2, 2, 2))
 
@@ -105,6 +110,24 @@ def dense_rank(rows, width, p):
     return rank
 
 
+@st.composite
+def integer_matrices(draw):
+    "Sparse integer matrices, some columns integer combinations of others."
+    nrows = draw(st.one_of(st.integers(1, 8), st.integers(65, 200)))
+    entry = st.tuples(st.integers(0, nrows - 1), st.integers(-4, 4))
+    cols = [dict(draw(st.lists(entry, max_size=8))) for _ in range(draw(st.integers(1, 10)))]
+    term = st.tuples(st.integers(0, len(cols) - 1), st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 8))):
+        col = {}
+        for i, k in draw(st.lists(term, min_size=1, max_size=4)):
+            for r, v in cols[i].items():
+                col[r] = col.get(r, 0) + k * v
+        cols.append(col)
+    order = draw(st.permutations(range(len(cols))))
+    entries = [(r, c, v) for c, i in enumerate(order) for r, v in cols[i].items() if v]
+    return SparseMatrix(nrows, len(cols), tuple(draw(st.permutations(entries))))
+
+
 def reference_betti(cc, p):
     counts = cc.counts
     ranks = [0] * (len(counts) + 1)
@@ -121,3 +144,26 @@ def reference_betti(cc, p):
 def test_betti_matches_dense_reference(cc):
     for field, p in (("gf2", 2), ("gf3", 3), ("rational", 0)):
         assert betti(cc, field) == reference_betti(cc, p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_matrices())
+def test_rank_matches_dense_reference(m):
+    rows = [[0] * m.cols for _ in range(m.rows)]
+    for r, c, v in m.entries:
+        rows[r][c] = v
+    for field, p in (("gf2", 2), ("gf3", 3), ("rational", 0)):
+        assert rank(m, field) == dense_rank(rows, m.cols, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_cubical_complexes(), st.data())
+def test_betti_unchanged_by_renumbering(cc, data):
+    perms = [data.draw(st.permutations(range(m))) for m in cc.counts]
+    tris = ((),) + tuple(
+        tuple(sorted((perms[j - 1][r], perms[j][c], v) for r, c, v in cc.boundaries[j]))
+        for j in range(1, len(cc.counts))
+    )
+    renumbered = ChainComplex(cc.counts, tris)
+    for field in ("gf2", "gf3", "rational"):
+        assert betti(renumbered, field) == betti(cc, field)
