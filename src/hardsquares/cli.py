@@ -6,11 +6,12 @@ plain-text and JSON exports (export), invariant checking (verify), and an
 apex-graph dump (inspect).
 
 Exit codes: 0 success, 2 invalid arguments (including --threads below 1,
-a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, and a --config
-file that is missing, unreadable, not a JSON object or has a value that
-is not an integer), 3 a configured cap refused the computation, 1 a verify
-check failed or a gradient flow ran over its budget (FlowBudgetExceeded),
-4 a worker process died (BrokenProcessPool).
+a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, a negative
+cell cap, flow budget or vertex cap, and a --config file that is missing,
+unreadable, not a JSON object or has a value that is not an integer), 3 a
+configured cap refused the computation, 1 a verify check failed or a
+gradient flow ran over its budget (FlowBudgetExceeded), 4 a worker process
+died (BrokenProcessPool).
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Precedence: explicit keyword overrides (CLI flags), then the environment
 variables HARDSQ_THREADS and HARDSQ_CELL_CAP, then an optional JSON config
 file, then defaults.  The thread count is clamped to [1, os.cpu_count()],
 since each thread is a forked worker process.  A value that is not an
-integer, a config file that cannot be read and one that does not hold a
-JSON object raise ValueError (invalid JSON already does).
+integer, a negative limit, a config file that cannot be read and one that
+does not hold a JSON object raise ValueError (invalid JSON already does).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ def load_config(path=None, env=None, **overrides):
         "flow_budget": DEFAULT_FLOW_BUDGET,
         "vertex_cap": DEFAULT_VERTEX_CAP,
     }
+    data = {}
     if path:
         try:
             with open(path) as fh:
@@ -47,15 +48,16 @@ def load_config(path=None, env=None, **overrides):
             raise ValueError(
                 f"config file {path!r} must hold a JSON object, not {type(data).__name__}"
             )
-        for key in values:
-            if key in data:
-                values[key] = _integer(data[key], f"config key {key!r}")
-    for key, var in (("threads", "HARDSQ_THREADS"), ("cell_cap", "HARDSQ_CELL_CAP")):
-        if var in env:
-            values[key] = _integer(env[var], var)
-    for key, val in overrides.items():
-        if val is not None:
-            values[key] = int(val)
+    # (key, value, name in errors), lowest precedence first
+    given = [(key, data[key], f"config key {key!r}") for key in values if key in data]
+    env_vars = (("threads", "HARDSQ_THREADS"), ("cell_cap", "HARDSQ_CELL_CAP"))
+    given += [(key, env[var], var) for key, var in env_vars if var in env]
+    flags = {k: "--" + k.replace("_", "-") for k in overrides}
+    given += [(k, v, flags[k]) for k, v in overrides.items() if v is not None]
+    for key, raw, name in given:
+        values[key] = _integer(raw, name)
+        if key != "threads" and values[key] < 0:
+            raise ValueError(f"{name} must not be negative, got {values[key]}")
     values["threads"] = max(1, min(values["threads"], default_threads()))
     return Config(**values)
 

@@ -1,11 +1,12 @@
 """Independent cross-checks on the homology pipeline.
 
-direct_betti builds the full cubical complex from enumeration and reduces
-it, with no use of the gradient pairing, so it can be compared against the
-Morse route.  conf_plane_betti gives the closed-form Betti numbers of the
-planar labeled configuration space, the expected values in the stabilized
-regime.  classify_regime labels each degree solid, liquid, or
-gas-consistent by comparing against those values.
+direct_betti builds the full cubical complex with no use of the gradient
+pairing, so it can be compared against the Morse route: the cell counts
+are the f-vector, and one enumeration numbers the cells and streams their
+boundaries into the reduction.  conf_plane_betti gives the closed-form
+Betti numbers of the planar labeled configuration space, the expected
+values in the stabilized regime.  classify_regime labels each degree
+solid, liquid, or gas-consistent by comparing against those values.
 """
 
 from __future__ import annotations
@@ -40,29 +41,27 @@ def _pack(pieces, p, q):
     return key
 
 
-def _assign_ids(n, p, q):
-    "Per-dimension dense ids for every cell, in enumeration order."
+def _triple_stream(n, p, q, counts):
+    """(dim, facet id, cell id, sign) entries, numbering cells as they stream.
+
+    Every facet comes before its cell (an earlier apex, or an earlier
+    extension option of the same apex), so its id is known.  counts is the
+    f-vector; cells numbered by dimension that differ from it raise.
+    """
     ids = {}
-    counts = []
+    numbered = [0] * len(counts)
     for cell in grid.enumerate_cells(n, p, q):
         d = cell.dim
-        if d >= len(counts):
-            counts.extend([0] * (d + 1 - len(counts)))
-        ids[_pack(cell.pieces, p, q)] = counts[d]
-        counts[d] += 1
-    return ids, counts
-
-
-def _triple_stream(n, p, q, ids):
-    counters = {}
-    for cell in grid.enumerate_cells(n, p, q):
-        d = cell.dim
-        c = counters.get(d, 0)
-        counters[d] = c + 1
-        if d == 0:
-            continue
-        for facet, sign in grid.boundary(cell):
-            yield (d, ids[_pack(facet.pieces, p, q)], c, sign)
+        if d >= len(counts) or numbered[d] == counts[d]:
+            raise AssertionError(f"more {d}-cells than the f-vector {counts} has")
+        c = numbered[d]
+        numbered[d] = c + 1
+        ids[_pack(cell.pieces, p, q)] = c
+        if d:
+            for facet, sign in grid.boundary(cell):
+                yield (d, ids[_pack(facet.pieces, p, q)], c, sign)
+    if numbered != list(counts):
+        raise AssertionError(f"cells by dimension {numbered}, f-vector {counts}")
 
 
 def check_cap(n, p, q, cap=DEFAULT_CELL_CAP):
@@ -76,25 +75,22 @@ def check_cap(n, p, q, cap=DEFAULT_CELL_CAP):
 
 def build_chain_complex(n, p, q, cap=DEFAULT_CELL_CAP):
     "The full cubical chain complex, materialized (small instances only)."
-    check_cap(n, p, q, cap)
-    ids, counts = _assign_ids(n, p, q)
-    tris = [[] for _ in range(len(counts))]
-    for d, r, c, v in _triple_stream(n, p, q, ids):
+    counts, _ = check_cap(n, p, q, cap)
+    tris = [[] for _ in counts]
+    for d, r, c, v in _triple_stream(n, p, q, counts):
         tris[d].append((r, c, v))
-    for tri in tris:
-        tri.sort()
-    return ChainComplex(tuple(counts), tuple(tuple(t) for t in tris))
+    return ChainComplex(counts, tuple(tuple(sorted(t)) for t in tris))
 
 
 def direct_betti(n, p, q, field="gf2", cap=DEFAULT_CELL_CAP):
     """Betti numbers computed from the full complex, no gradient involved.
 
-    The boundary entries are streamed from a second enumeration into
-    homology.betti_of_stream, so the complex is never materialized.
+    The cell counts are the f-vector of the cap check; the boundary entries
+    are streamed from one enumeration into homology.betti_of_stream, so the
+    complex is never materialized.
     """
-    check_cap(n, p, q, cap)
-    ids, counts = _assign_ids(n, p, q)
-    return betti_of_stream(counts, _triple_stream(n, p, q, ids), field)
+    counts, _ = check_cap(n, p, q, cap)
+    return betti_of_stream(counts, _triple_stream(n, p, q, counts), field)
 
 
 def conf_plane_betti(n):

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from hardsquares import cli, grid, morse
+from hardsquares import cli, grid, morse, parallel
 from hardsquares.config import load_config
 
 
@@ -288,6 +288,32 @@ def test_config_values_must_be_integers(tmp_path):
     good.write_text('{"cell_cap": 10, "flow_budget": "20"}')
     cfg = load_config(good, env={})
     assert (cfg.cell_cap, cfg.flow_budget) == (10, 20)
+
+
+def test_negative_limits_exit_2(capsys, monkeypatch, tmp_path):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected limit must stop before any work")
+
+    monkeypatch.setattr(parallel, "pmap", no_pool)
+    argv = ["betti", "--n", "2", "--p", "2", "--q", "2"]
+    flags = ("--cell-cap", "--flow-budget", "--vertex-cap")
+    cases = [([flag, "-1"], flag) for flag in flags]
+    for key in ("cell_cap", "flow_budget", "vertex_cap"):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: -5}))
+        cases.append((["--config", str(path)], repr(key)))
+    for extra, name in cases:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + extra)
+        assert err.value.code == 2
+        assert name in capsys.readouterr().err
+    monkeypatch.setenv("HARDSQ_CELL_CAP", "-5")
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv + ["--method", "direct"])
+    assert err.value.code == 2
+    assert "HARDSQ_CELL_CAP must not be negative" in capsys.readouterr().err
+    cfg = load_config(env={}, cell_cap=0, flow_budget=0, vertex_cap=0)
+    assert (cfg.cell_cap, cfg.flow_budget, cfg.vertex_cap) == (0, 0, 0)
 
 
 def test_dead_worker_exit_4(capsys, monkeypatch):

@@ -122,6 +122,21 @@ def test_enumeration_edge_cases():
     assert grid.f_vector(5, 2, 2) == ()
 
 
+def test_facets_come_before_their_cell():
+    # oracle numbers cells as they stream, which needs every facet first
+    instances = [
+        (0, 2, 2), (1, 1, 1), (2, 1, 4), (3, 1, 3), (2, 4, 1), (2, 2, 2),
+        (3, 2, 2), (4, 2, 2), (3, 2, 3), (3, 3, 2), (2, 3, 3), (5, 2, 3),
+    ]
+    for n, p, q in instances:
+        seen = set()
+        for cell in grid.enumerate_cells(n, p, q):
+            for facet, _ in grid.boundary(cell):
+                assert facet.pieces in seen, (n, p, q, cell, facet)
+            seen.add(cell.pieces)
+        assert len(seen) == sum(grid.f_vector(n, p, q)), (n, p, q)
+
+
 def test_f_vector_against_reference():
     for (n, p, q), expected in FVECTORS.items():
         if sum(expected) <= 60_000:

@@ -26,6 +26,35 @@ def test_cell_cap():
     assert err.value.cap == 100
 
 
+def test_direct_betti_enumerates_once(monkeypatch):
+    pulled = [0]
+    enumerate_cells = grid.enumerate_cells
+
+    def counting(*args):
+        for cell in enumerate_cells(*args):
+            pulled[0] += 1
+            yield cell
+
+    monkeypatch.setattr(grid, "enumerate_cells", counting)
+    assert oracle.direct_betti(3, 3, 3) == (1, 3, 2)
+    assert pulled[0] == sum(grid.f_vector(3, 3, 3))
+
+
+def test_direct_betti_checks_cells_against_f_vector(monkeypatch):
+    f_vector = grid.f_vector
+    for dim, delta in ((0, 1), (0, -1), (2, 1), (2, -1)):
+
+        def off_by_one(*args, **kwargs):
+            fv = list(f_vector(*args, **kwargs))
+            fv[dim] += delta
+            return tuple(fv)
+
+        monkeypatch.setattr(grid, "f_vector", off_by_one)
+        for build in (oracle.direct_betti, oracle.build_chain_complex):
+            with pytest.raises(AssertionError):
+                build(2, 2, 2)
+
+
 def test_chain_complex_build():
     cc = oracle.build_chain_complex(2, 2, 2)
     assert cc.counts == (12, 16, 4)
