@@ -6,7 +6,6 @@ from .apexgraph import (
     build_apex_graph,
     decode_cell,
     encode_cell,
-    half_square_allocation,
     independent_set_count,
 )
 from .grid import (
@@ -31,7 +30,6 @@ from .morse import (
     match_cell,
     match_string,
     morse_boundary,
-    restrict_morse,
     verify_acyclic,
 )
 from .oracle import (

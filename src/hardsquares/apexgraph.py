@@ -265,7 +265,3 @@ def decode_cell(apex, board, bits):
 
 def independent_set_count(graph):
     return graph.independent_set_count()
-
-
-def half_square_allocation(graph):
-    return graph.half_squares()

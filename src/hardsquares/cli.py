@@ -27,7 +27,7 @@ from concurrent.futures.process import BrokenProcessPool
 from . import grid, morse, oracle
 from .apexgraph import ApexGraph
 from .config import load_config
-from .homology import AuditFailure, audit, betti, parse_field, validate_d2
+from .homology import AuditFailure, audit, parse_field
 
 EXIT_CAP = 3
 EXIT_WORKER = 4
@@ -51,19 +51,6 @@ def _common(parser):
     parser.add_argument("--config", help="JSON config file")
 
 
-def _cfg(parser, args):
-    try:
-        return load_config(
-            args.config,
-            threads=args.threads,
-            cell_cap=args.cell_cap,
-            flow_budget=args.flow_budget,
-            vertex_cap=args.vertex_cap,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def _instance_args(parser):
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--p", type=int, required=True)
@@ -85,9 +72,8 @@ def _parse_field_arg(parser, spec):
     return spec
 
 
-def cmd_betti(parser, args):
+def cmd_betti(parser, args, cfg):
     _check_instance(parser, args)
-    cfg = _cfg(parser, args)
     field = _parse_field_arg(parser, args.field)
     n, p, q = args.n, args.p, args.q
     if args.method == "direct":
@@ -113,19 +99,22 @@ def cmd_betti(parser, args):
     return 0
 
 
-def cmd_fvector(parser, args):
+def cmd_fvector(parser, args, cfg):
     _check_instance(parser, args)
-    cfg = _cfg(parser, args)
     fv = grid.f_vector(args.n, args.p, args.q, threads=cfg.threads)
     print(" ".join(str(x) for x in fv))
     return 0
 
 
-def cmd_critical(parser, args):
+def cmd_critical(parser, args, cfg):
     _check_instance(parser, args)
     counts = morse.critical_counts(args.n, args.p, args.q)
     print(" ".join(str(m) for m in counts))
     if args.dump:
+        total = sum(counts)
+        if total > cfg.cell_cap:
+            print(f"{total} critical cells, over the cap of {cfg.cell_cap}", file=sys.stderr)
+            return EXIT_CAP
         cells = [
             {
                 "pieces": [[pc.col, pc.row, pc.left, pc.down] for pc in cell.pieces],
@@ -140,8 +129,7 @@ def cmd_critical(parser, args):
     return 0
 
 
-def cmd_table(parser, args):
-    cfg = _cfg(parser, args)
+def cmd_table(parser, args, cfg):
     field = _parse_field_arg(parser, args.field)
     k = args.max_n
     if k < 2:
@@ -171,9 +159,8 @@ def cmd_table(parser, args):
     return 0
 
 
-def cmd_export(parser, args):
+def cmd_export(parser, args, cfg):
     _check_instance(parser, args)
-    cfg = _cfg(parser, args)
     n, p, q = args.n, args.p, args.q
     if args.format == "vertex-list":
         count = math.perm(p * q, n)
@@ -199,7 +186,7 @@ def cmd_export(parser, args):
     return 0
 
 
-def cmd_inspect(parser, args):
+def cmd_inspect(parser, args, cfg):
     if args.p < 1 or args.q < 1:
         parser.error("--p and --q must be at least 1")
     try:
@@ -288,10 +275,9 @@ def _verify_checks(n, p, q, cfg, deep):
             assert len(seen) <= 2 * p * q
 
     def morse_route():
+        # the build raises AssertionError unless d o d = 0
         mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, budget=cfg.flow_budget)
-        cc = mc.chain_complex()
-        validate_d2(cc)
-        bv = betti(cc, "gf2", validate=False)
+        bv = mc.betti("gf2")
         state["betti"] = bv
         audit(n, p, q, bv, fv, morse_counts=mc.counts)
 
@@ -319,9 +305,8 @@ def _verify_checks(n, p, q, cfg, deep):
     return checks
 
 
-def cmd_verify(parser, args):
+def cmd_verify(parser, args, cfg):
     _check_instance(parser, args)
-    cfg = _cfg(parser, args)
     failures = 0
     for name, check in _verify_checks(args.n, args.p, args.q, cfg, args.deep):
         try:
@@ -411,7 +396,17 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        cfg = load_config(
+            args.config,
+            threads=args.threads,
+            cell_cap=args.cell_cap,
+            flow_budget=args.flow_budget,
+            vertex_cap=args.vertex_cap,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        return args.func(parser, args, cfg)
     except morse.FlowBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

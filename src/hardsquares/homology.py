@@ -8,7 +8,8 @@ the field.  Over GF(2) only the coreduction cascade of reduce_complex
 runs, and rank uses bit-packed column elimination.  Over GF(p) and the
 rationals the greedy phase of reduce_complex runs too, and rank uses
 sparse row elimination.  Pivots are chosen by fixed rules, so results are
-deterministic.
+deterministic.  Nothing here checks that the boundary squares to zero
+except validate_d2, which the Morse build runs once per complex.
 """
 
 from __future__ import annotations
@@ -156,17 +157,14 @@ def trim(numbers):
     return tuple(out)
 
 
-def betti(cc, field="gf2", validate=None):
+def betti(cc, field="gf2"):
     """Betti numbers of a chain complex over the given field.
 
-    The composite of consecutive boundaries is checked first (by default
-    for complexes up to 200,000 cells); see betti_of_stream for the rest.
+    Expects d o d = 0 and does not check it: validate_d2 does, and
+    build_morse_complex runs it once on every complex it builds.  See
+    betti_of_stream for the rest.
     """
     counts = cc.counts
-    if validate is None:
-        validate = sum(counts) <= 200_000
-    if validate:
-        validate_d2(cc)
     stream = (
         (j, r, c, v) for j in range(1, len(counts)) for r, c, v in cc.boundaries[j]
     )

@@ -4,7 +4,10 @@ Cells sharing an apex are bit strings on the paths of the apex's option
 graph, and are matched by a recursive rule on those strings.  At most one
 cell per apex stays unmatched (critical).  The Morse complex lives on the
 critical cells; its boundary is computed by flowing each cubical facet
-through the matching until only critical cells remain.
+through the matching until only critical cells remain, once per critical
+corner set, since the labeled critical cells are free S_n-orbits.  The
+build checks d o d = 0 on the complex it returns; restrict keeps only
+subcomplexes, so restricted complexes are not checked again.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from functools import lru_cache
 from . import grid
 from .apexgraph import cached_structure
 from .grid import Arrangement, Piece, boundary, relabel, relabel_sign
+from .homology import ChainComplex, betti, validate_d2
 
 DEFAULT_FLOW_BUDGET = 10_000_000
 
@@ -279,13 +283,9 @@ class MorseComplex:
         return tuple(len(c) for c in self.cells)
 
     def chain_complex(self):
-        from .homology import ChainComplex
-
         return ChainComplex(self.counts, tuple(self.boundaries))
 
     def betti(self, field="gf2"):
-        from .homology import betti
-
         return betti(self.chain_complex(), field)
 
     def restrict(self, p, q):
@@ -341,62 +341,59 @@ class MorseComplex:
 def build_morse_complex(n, p, q, threads=1, budget=DEFAULT_FLOW_BUDGET):
     """Morse complex of the full gradient pairing on the n, p, q complex.
 
-    Flows are computed once per unordered critical cell; the labeled
-    matrices follow by relabeling, with the orientation signs transported
-    through the coordinate-order permutation.
+    The labeled critical cells are free S_n-orbits of the critical cell of
+    each corner set, so one flow per corner set gives every labeled
+    boundary entry.  A corner set's n! labelings get consecutive ids of its
+    dimension in itertools.permutations order.  A flow target lies on an
+    earlier corner set T (boundaries move corners left or down), and its
+    relabeling by perm is T's labeling pi with pi[k] = slot[perm[k]], where
+    slot[k] is the position of target piece k's corner in T.  Signs are
+    transported through the coordinate-order permutation.  d o d = 0 is
+    checked here, once; restrictions are subcomplexes and need no check.
     """
     from .parallel import pmap
 
     board = (p, q)
     sets = list(critical_sets(n, p, q)) if n <= p * q else []
-    reps = [critical_cell_for(corners, board) for corners, _ in sets]
-    dims = [dim for _, dim in sets]
-
-    maxdim = max(dims, default=0)
-    cells = [[] for _ in range(maxdim + 1)]
-    spans = [[] for _ in range(maxdim + 1)]
-    index = {}
+    chunks = _split([corners for corners, dim in sets if dim > 0], threads)
+    jobs = [(n, p, q, part, budget) for part in chunks]
+    flows = itertools.chain.from_iterable(pmap(_flow_chunk, jobs, threads))
     perms = list(itertools.permutations(range(n)))
-    for rep, (corners, dim) in zip(reps, sets):
-        mc = max((c for c, _ in corners), default=1)
-        mr = max((r for _, r in corners), default=1)
-        for perm in perms:
-            cell = relabel(rep, perm)
-            index[cell.pieces] = (dim, len(cells[dim]))
-            cells[dim].append(cell)
-            spans[dim].append((mc, mr))
-
-    chunks = _split([s for s, d in zip(sets, dims) if d > 0], threads)
-    jobs = [(n, p, q, [corners for corners, _ in part], budget) for part in chunks]
-    flow_parts = pmap(_flow_chunk, jobs, threads)
-    flows = {}
-    for part, result in zip(chunks, flow_parts):
-        for (corners, _), flow in zip(part, result):
-            flows[corners] = flow
-
-    boundaries = [[] for _ in range(maxdim + 1)]
-    for rep, (corners, dim) in zip(reps, sets):
+    perm_id = {perm: i for i, perm in enumerate(perms)}
+    first = {}  # corner set -> (dim, id of its first labeling)
+    top = max((dim for _, dim in sets), default=0) + 1
+    cells, boundaries, spans = ([[] for _ in range(top)] for _ in range(3))
+    for corners, dim in sets:
+        col = len(cells[dim])
+        first[corners] = (dim, col)
+        rep = critical_cell_for(corners, board)
+        cells[dim] += [relabel(rep, perm) for perm in perms]
+        max_col = max((c for c, _ in corners), default=1)
+        max_row = max((r for _, r in corners), default=1)
+        spans[dim] += [(max_col, max_row)] * len(perms)
         if dim == 0:
             continue
-        flow = flows[corners]
-        targets = [(Arrangement(tk, board), v) for tk, v in flow]
-        for perm in perms:
-            col = index[relabel(rep, perm).pieces][1]
+        targets = []
+        for pieces, coeff in next(flows):
+            corner = [(pc.col, pc.row) for pc in pieces]
+            target_set = tuple(sorted(corner))
+            # a later corner set is not in first yet, and counts as wrong too
+            tdim, row = first.get(target_set, (None, 0))
+            if tdim != dim - 1:
+                raise AssertionError("flow target has wrong dimension")
+            slot = [target_set.index(c) for c in corner]
+            targets.append((Arrangement(pieces, board), coeff, row, slot))
+        for i, perm in enumerate(perms):
             base = relabel_sign(rep, perm)
-            for target, coeff in targets:
-                labeled = relabel(target, perm)
-                trow, row = index[labeled.pieces]
-                if trow != dim - 1:
-                    raise AssertionError("flow target has wrong dimension")
+            for target, coeff, row, slot in targets:
+                pi = tuple(slot[j] for j in perm)
                 sign = base * relabel_sign(target, perm)
-                boundaries[dim].append((row, col, sign * coeff))
-    for d in range(len(boundaries)):
-        boundaries[d].sort()
-    return MorseComplex(n, board, cells, boundaries, spans)
-
-
-def restrict_morse(mc, p, q):
-    return mc.restrict(p, q)
+                boundaries[dim].append((row + perm_id[pi], col + i, sign * coeff))
+    for tri in boundaries:
+        tri.sort()
+    mc = MorseComplex(n, board, cells, boundaries, spans)
+    validate_d2(mc.chain_complex())
+    return mc
 
 
 def _split(items, parts):

@@ -104,6 +104,17 @@ def test_critical_command(capsys, tmp_path):
         assert rebuilt == cell
 
 
+def test_critical_dump_respects_cell_cap(capsys, tmp_path):
+    dump = tmp_path / "critical.json"
+    argv = ["critical", "--n", "2", "--p", "2", "--q", "2", "--dump", str(dump)]
+    code, out, err = run(capsys, *argv, "--cell-cap", "7")
+    assert code == 3 and out == "4 4\n" and "over the cap" in err
+    assert not dump.exists()
+    code, _, _ = run(capsys, *argv, "--cell-cap", "8")
+    assert code == 0
+    assert len(json.loads(dump.read_text())["cells"]) == 8
+
+
 def test_table_command(capsys):
     code, out, _ = run(capsys, "table", "--max-n", "2")
     assert code == 0
@@ -314,6 +325,25 @@ def test_negative_limits_exit_2(capsys, monkeypatch, tmp_path):
     assert "HARDSQ_CELL_CAP must not be negative" in capsys.readouterr().err
     cfg = load_config(env={}, cell_cap=0, flow_budget=0, vertex_cap=0)
     assert (cfg.cell_cap, cfg.flow_budget, cfg.vertex_cap) == (0, 0, 0)
+
+
+def test_every_command_loads_config(capsys, monkeypatch, tmp_path):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a rejected config must stop before any work")
+
+    monkeypatch.setattr(parallel, "pmap", no_pool)
+    cases = (
+        (["critical", "--n", "2", "--p", "2", "--q", "2",
+          "--config", str(tmp_path / "missing.json")], "cannot read config file"),
+        (["inspect", "--corners", "1,2;2,1", "--p", "2", "--q", "2",
+          "--vertex-cap", "-1"], "--vertex-cap must not be negative"),
+    )
+    for argv, message in cases:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
 
 def test_dead_worker_exit_4(capsys, monkeypatch):

@@ -162,7 +162,7 @@ def test_reduce_preserves_betti_without_units():
         cc.counts, ((j, r, c, v) for j in range(1, len(cc.counts)) for r, c, v in cc.boundaries[j])
     )
     reduced = ChainComplex(tuple(counts2), tuple(tuple(t) for t in tris2))
-    b0, *rest = betti(reduced, "gf2", validate=False)
+    b0, *rest = betti(reduced, "gf2")
     assert (b0 + seeds, *rest) == (1, 3, 2)
     assert sum(counts2) < sum(cc.counts)
 

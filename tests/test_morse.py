@@ -253,3 +253,41 @@ def test_empty_and_trivial_complexes():
     assert morse.build_morse_complex(5, 2, 2).betti("gf2") == ()
     assert morse.build_morse_complex(0, 2, 2).betti("gf2") == (1,)
     assert shared.morse_betti(4, 2, 2) == (24,)
+
+
+def test_build_checks_d2(monkeypatch):
+    sets = dict(morse.critical_sets(3, 3, 3))
+    real = morse._flow_chunk
+    dropped = []
+
+    def corrupt(args):
+        flows = real(args)
+        for i, corners in enumerate(args[3]):
+            if sets[corners] == 2 and not dropped:
+                dropped.append(flows[i][0])
+                flows[i] = flows[i][1:]
+        return flows
+
+    monkeypatch.setattr(morse, "_flow_chunk", corrupt)
+    with pytest.raises(AssertionError, match="d o d != 0"):
+        morse.build_morse_complex(3, 3, 3, threads=1)
+    assert dropped
+
+
+def test_d2_checked_once_per_build(monkeypatch):
+    from hardsquares import homology
+
+    real = homology.validate_d2
+    calls = []
+
+    def counting(cc):
+        calls.append(cc.counts)
+        return real(cc)
+
+    for module in (homology, morse):
+        monkeypatch.setattr(module, "validate_d2", counting, raising=False)
+    mc = morse.build_morse_complex(3, 3, 3, threads=1)
+    assert calls == [mc.counts]
+    for p, q in ((2, 2), (2, 3), (3, 3)):
+        mc.restrict(p, q).betti("gf2")
+    assert calls == [mc.counts]
