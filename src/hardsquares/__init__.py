@@ -1,13 +1,6 @@
 """Homology of configuration spaces of hard squares in a rectangle."""
 
-from .apexgraph import (
-    ApexGraph,
-    ApexVertex,
-    build_apex_graph,
-    decode_cell,
-    encode_cell,
-    independent_set_count,
-)
+from .apexgraph import ApexGraph, ApexVertex
 from .grid import (
     Arrangement,
     Piece,
@@ -22,7 +15,7 @@ from .grid import (
 )
 from .homology import AuditFailure, ChainComplex, SparseMatrix, audit, betti, rank
 from .morse import (
-    FlowBudgetExceeded,
+    BrokenPairing,
     MorseComplex,
     build_morse_complex,
     cell_status,

@@ -249,19 +249,3 @@ class ApexGraph:
             "paths": [list(p) for p in self.paths],
         }
 
-
-def build_apex_graph(apex, p, q):
-    return ApexGraph(apex, (p, q))
-
-
-def encode_cell(arr):
-    "Bit strings of a cell in its own apex graph."
-    return ApexGraph(apex_of(arr), arr.board).encode(arr)
-
-
-def decode_cell(apex, board, bits):
-    return ApexGraph(apex, board).decode(bits)
-
-
-def independent_set_count(graph):
-    return graph.independent_set_count()

@@ -7,11 +7,12 @@ apex-graph dump (inspect).
 
 Exit codes: 0 success, 2 invalid arguments (including --threads below 1,
 a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, a negative
-cell cap, flow budget or vertex cap, and a --config file that is missing,
-unreadable, not a JSON object or has a value that is not an integer), 3 a
-configured cap refused the computation, 1 a verify check failed or a
-gradient flow ran over its budget (FlowBudgetExceeded), 4 a worker process
-died (BrokenProcessPool).
+cell cap or vertex cap, and a --config file that is missing, unreadable,
+not a JSON object or has a value that is not an integer), 3 a configured
+cap refused the computation (CellCapExceeded, for a direct or a Morse
+build, or an export or dump over its cap), 1 a verify check failed or the
+gradient pairing has a closed V-path (BrokenPairing), 4 a worker process
+died (BrokenProcessPool).  main maps the exceptions to their codes.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from concurrent.futures.process import BrokenProcessPool
 from . import grid, morse, oracle
 from .apexgraph import ApexGraph
 from .config import load_config
-from .homology import AuditFailure, audit, parse_field
+from .homology import audit, parse_field
 
 EXIT_CAP = 3
 EXIT_WORKER = 4
@@ -45,8 +46,7 @@ def _positive_int(text):
 
 def _common(parser):
     parser.add_argument("--threads", type=_positive_int, help="worker processes")
-    parser.add_argument("--cell-cap", type=int, help="max cells for direct builds")
-    parser.add_argument("--flow-budget", type=int, help="max gradient flow steps")
+    parser.add_argument("--cell-cap", type=int, help="max cells of a built complex")
     parser.add_argument("--vertex-cap", type=int, help="max lines for vertex exports")
     parser.add_argument("--config", help="JSON config file")
 
@@ -77,20 +77,14 @@ def cmd_betti(parser, args, cfg):
     field = _parse_field_arg(parser, args.field)
     n, p, q = args.n, args.p, args.q
     if args.method == "direct":
-        try:
-            bv = oracle.direct_betti(n, p, q, field, cap=cfg.cell_cap)
-        except oracle.CellCapExceeded as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_CAP
+        bv = oracle.direct_betti(n, p, q, field, cap=cfg.cell_cap)
     elif args.method == "restrict":
         if p > n or q > n:
             parser.error("--method restrict requires p <= n and q <= n")
-        full = morse.build_morse_complex(
-            n, n, n, threads=cfg.threads, budget=cfg.flow_budget
-        )
+        full = morse.build_morse_complex(n, n, n, threads=cfg.threads, cap=cfg.cell_cap)
         bv = full.restrict(p, q).betti(field)
     else:
-        mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, budget=cfg.flow_budget)
+        mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, cap=cfg.cell_cap)
         bv = mc.betti(field)
     if n > p * q:
         print(f"note: empty complex, n = {n} exceeds the board area {p * q}", file=sys.stderr)
@@ -143,7 +137,7 @@ def cmd_table(parser, args, cfg):
         )
         for n in range(2, k + 1):
             full = morse.build_morse_complex(
-                n, n, n, threads=cfg.threads, budget=cfg.flow_budget
+                n, n, n, threads=cfg.threads, cap=cfg.cell_cap
             )
             for p in range(2, n + 1):
                 for q in range(p, n + 1):
@@ -176,11 +170,7 @@ def cmd_export(parser, args, cfg):
             write(" ".join(f"{c} {r}" for c, r in combo))
             write("\n")
     else:
-        try:
-            oracle.check_cap(n, p, q, cfg.cell_cap)
-        except oracle.CellCapExceeded as exc:
-            print(str(exc), file=sys.stderr)
-            return EXIT_CAP
+        oracle.check_cap(n, p, q, cfg.cell_cap)
         json.dump(grid.cells_json(n, p, q), sys.stdout)
         sys.stdout.write("\n")
     return 0
@@ -276,7 +266,7 @@ def _verify_checks(n, p, q, cfg, deep):
 
     def morse_route():
         # the build raises AssertionError unless d o d = 0
-        mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, budget=cfg.flow_budget)
+        mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, cap=cfg.cell_cap)
         bv = mc.betti("gf2")
         state["betti"] = bv
         audit(n, p, q, bv, fv, morse_counts=mc.counts)
@@ -311,7 +301,7 @@ def cmd_verify(parser, args, cfg):
     for name, check in _verify_checks(args.n, args.p, args.q, cfg, args.deep):
         try:
             check()
-        except AssertionError as exc:
+        except AssertionError as exc:  # AuditFailure is one too
             text = str(exc)
             if text.startswith("skipped"):
                 print(f"ok: {name} ({text})")
@@ -319,12 +309,8 @@ def cmd_verify(parser, args, cfg):
             failures += 1
             print(f"FAIL: {name}: {exc}")
             continue
-        except (AuditFailure, oracle.CellCapExceeded) as exc:
-            if isinstance(exc, oracle.CellCapExceeded):
-                print(f"ok: {name} (skipped, {exc})")
-                continue
-            failures += 1
-            print(f"FAIL: {name}: {exc}")
+        except oracle.CellCapExceeded as exc:
+            print(f"ok: {name} (skipped, {exc})")
             continue
         print(f"ok: {name}")
     if args.n > args.p * args.q:
@@ -400,14 +386,16 @@ def main(argv=None):
             args.config,
             threads=args.threads,
             cell_cap=args.cell_cap,
-            flow_budget=args.flow_budget,
             vertex_cap=args.vertex_cap,
         )
     except ValueError as exc:
         parser.error(str(exc))
     try:
         return args.func(parser, args, cfg)
-    except morse.FlowBudgetExceeded as exc:
+    except oracle.CellCapExceeded as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_CAP
+    except morse.BrokenPairing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenProcessPool as exc:

@@ -1,11 +1,14 @@
 """Runtime limits and thread configuration.
 
-Precedence: explicit keyword overrides (CLI flags), then the environment
-variables HARDSQ_THREADS and HARDSQ_CELL_CAP, then an optional JSON config
-file, then defaults.  The thread count is clamped to [1, os.cpu_count()],
-since each thread is a forked worker process.  A value that is not an
-integer, a negative limit, a config file that cannot be read and one that
-does not hold a JSON object raise ValueError (invalid JSON already does).
+Three settings: the thread count, the cell cap (the most cells of any
+complex a command builds, direct or Morse) and the vertex cap (the most
+lines of a vertex-list export).  Precedence: explicit keyword overrides
+(CLI flags), then the environment variables HARDSQ_THREADS and
+HARDSQ_CELL_CAP, then an optional JSON config file, then defaults.  The
+thread count is clamped to [1, os.cpu_count()], since each thread is a
+forked worker process.  A value that is not an integer, a negative limit,
+a config file that cannot be read and one that does not hold a JSON
+object raise ValueError (invalid JSON already does).
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import dataclasses
 import json
 import os
 
-from .morse import DEFAULT_FLOW_BUDGET
 from .oracle import DEFAULT_CELL_CAP
 from .parallel import default_threads
 
@@ -25,7 +27,6 @@ DEFAULT_VERTEX_CAP = 10_000_000
 class Config:
     threads: int = 1
     cell_cap: int = DEFAULT_CELL_CAP
-    flow_budget: int = DEFAULT_FLOW_BUDGET
     vertex_cap: int = DEFAULT_VERTEX_CAP
 
 
@@ -34,7 +35,6 @@ def load_config(path=None, env=None, **overrides):
     values = {
         "threads": default_threads(),
         "cell_cap": DEFAULT_CELL_CAP,
-        "flow_budget": DEFAULT_FLOW_BUDGET,
         "vertex_cap": DEFAULT_VERTEX_CAP,
     }
     data = {}

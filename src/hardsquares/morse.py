@@ -5,9 +5,12 @@ graph, and are matched by a recursive rule on those strings.  At most one
 cell per apex stays unmatched (critical).  The Morse complex lives on the
 critical cells; its boundary is computed by flowing each cubical facet
 through the matching until only critical cells remain, once per critical
-corner set, since the labeled critical cells are free S_n-orbits.  The
-build checks d o d = 0 on the complex it returns; restrict keeps only
-subcomplexes, so restricted complexes are not checked again.
+corner set, since the labeled critical cells are free S_n-orbits.  A flow
+ends because the pairing is acyclic; a closed V-path raises BrokenPairing
+instead of looping.  The build refuses, with oracle.CellCapExceeded, a
+complex whose labeled critical cells exceed the cell cap, and checks
+d o d = 0 on the complex it returns; restrict keeps only subcomplexes, so
+restricted complexes are not checked again.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ from . import grid
 from .apexgraph import cached_structure
 from .grid import Arrangement, Piece, boundary, relabel, relabel_sign
 from .homology import ChainComplex, betti, validate_d2
+from .oracle import DEFAULT_CELL_CAP, CellCapExceeded
 
-DEFAULT_FLOW_BUDGET = 10_000_000
 
-
-class FlowBudgetExceeded(RuntimeError):
-    "Gradient flow ran past its replacement budget: the pairing is broken."
+class BrokenPairing(RuntimeError):
+    "The gradient pairing has a closed V-path, so a flow would never end."
 
 
 @lru_cache(maxsize=None)
@@ -180,33 +182,52 @@ def iter_critical_cells(n, p, q):
             yield relabel(rep, perm)
 
 
-def flow_boundary(cell, memo=None, budget=DEFAULT_FLOW_BUDGET):
+def flow_boundary(cell, memo=None):
     """Morse boundary of a critical cell: flow its facets to critical cells.
 
     A facet that is critical contributes itself; one paired with a facet of
     its own contributes nothing; one paired with a cofacet E is replaced by
-    the (signed) remaining boundary of E, recursively.  Termination is
-    guaranteed by acyclicity of the pairing and enforced by the budget.
+    the (signed) remaining boundary of E, recursively.  The recursion ends
+    because the pairing is acyclic; a closed V-path raises BrokenPairing.
     """
     if memo is None:
         memo = {}
     out = {}
-    steps = [0]
     for facet, sign in boundary(cell):
-        for target, coeff in _flow_chain(facet, memo, steps, budget).items():
+        for target, coeff in _flow_chain(facet, memo).items():
             out[target] = out.get(target, 0) + sign * coeff
     return {t: v for t, v in out.items() if v}
 
 
-def _flow_chain(start, memo, steps, budget):
+def _flow_chain(start, memo):
+    """Flow of one cell, by an explicit depth-first stack.
+
+    An "up" cell waiting for the flows of its partner's other facets is
+    open: it keeps those facets and the coefficient lam of itself in the
+    partner's boundary for its return visit.  A pending facet that is open
+    too closes a V-path.
+    """
     key = start.pieces
     if key in memo:
         return memo[key]
+    open_cells = {}  # pieces -> (facets of the partner, lam)
     stack = [start]
     while stack:
         cell = stack[-1]
         ck = cell.pieces
         if ck in memo:
+            stack.pop()
+            continue
+        if ck in open_cells:
+            facets, lam = open_cells.pop(ck)
+            acc = {}
+            for f, s in facets:
+                if f.pieces == ck:
+                    continue
+                coef = -s * lam
+                for t, v in memo[f.pieces].items():
+                    acc[t] = acc.get(t, 0) + coef * v
+            memo[ck] = {t: v for t, v in acc.items() if v}
             stack.pop()
             continue
         status, partner = cell_status(cell)
@@ -221,44 +242,31 @@ def _flow_chain(start, memo, steps, budget):
         facets = boundary(partner)
         lam = next(s for f, s in facets if f.pieces == ck)
         pending = [f for f, _ in facets if f.pieces != ck and f.pieces not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        steps[0] += 1
-        if steps[0] > budget:
-            raise FlowBudgetExceeded(
-                f"gradient flow exceeded {budget} replacements"
-            )
-        acc = {}
-        for f, s in facets:
-            if f.pieces == ck:
-                continue
-            coef = -s * lam
-            for t, v in memo[f.pieces].items():
-                acc[t] = acc.get(t, 0) + coef * v
-        memo[ck] = {t: v for t, v in acc.items() if v}
-        stack.pop()
+        if any(f.pieces in open_cells for f in pending):
+            raise BrokenPairing(f"closed V-path through {cell}")
+        open_cells[ck] = (facets, lam)
+        stack.extend(pending)
     return memo[key]
 
 
-def morse_boundary(cell, budget=DEFAULT_FLOW_BUDGET):
+def morse_boundary(cell):
     """Public per-cell Morse boundary, as {critical Arrangement: coeff}."""
     if match_cell(cell) is not None:
         raise ValueError("cell is not critical")
-    raw = flow_boundary(cell, {}, budget)
+    raw = flow_boundary(cell, {})
     board = cell.board
     return {Arrangement(k, board): v for k, v in raw.items()}
 
 
 def _flow_chunk(args):
     "Flows for a slice of critical corner sets (worker for parallel builds)."
-    n, p, q, corner_sets, budget = args
+    n, p, q, corner_sets = args
     board = (p, q)
     memo = {}
     out = []
     for corners in corner_sets:
         rep = critical_cell_for(corners, board)
-        flow = flow_boundary(rep, memo, budget)
+        flow = flow_boundary(rep, memo)
         out.append(sorted(flow.items()))
     return out
 
@@ -338,7 +346,7 @@ class MorseComplex:
         }
 
 
-def build_morse_complex(n, p, q, threads=1, budget=DEFAULT_FLOW_BUDGET):
+def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     """Morse complex of the full gradient pairing on the n, p, q complex.
 
     The labeled critical cells are free S_n-orbits of the critical cell of
@@ -350,13 +358,18 @@ def build_morse_complex(n, p, q, threads=1, budget=DEFAULT_FLOW_BUDGET):
     slot[k] is the position of target piece k's corner in T.  Signs are
     transported through the coordinate-order permutation.  d o d = 0 is
     checked here, once; restrictions are subcomplexes and need no check.
+    Over the cap of labeled critical cells, CellCapExceeded is raised
+    before any flow runs or any cell is made.
     """
     from .parallel import pmap
 
     board = (p, q)
     sets = list(critical_sets(n, p, q)) if n <= p * q else []
+    total = len(sets) * math.factorial(n)
+    if total > cap:
+        raise CellCapExceeded(n, p, q, total, cap)
     chunks = _split([corners for corners, dim in sets if dim > 0], threads)
-    jobs = [(n, p, q, part, budget) for part in chunks]
+    jobs = [(n, p, q, part) for part in chunks]
     flows = itertools.chain.from_iterable(pmap(_flow_chunk, jobs, threads))
     perms = list(itertools.permutations(range(n)))
     perm_id = {perm: i for i, perm in enumerate(perms)}

@@ -4,14 +4,7 @@ import random
 import pytest
 
 from hardsquares import grid
-from hardsquares.apexgraph import (
-    ApexGraph,
-    build_apex_graph,
-    decode_cell,
-    encode_cell,
-    fibonacci,
-    path_structure,
-)
+from hardsquares.apexgraph import ApexGraph, fibonacci, path_structure
 from hardsquares.grid import Arrangement, Piece
 
 
@@ -44,13 +37,13 @@ def brute_force_edges(corners):
 
 
 def test_empty_graph():
-    g = build_apex_graph(((1, 1),), 2, 2)
+    g = ApexGraph(((1, 1),), (2, 2))
     assert g.vertices == () and g.paths == () and g.edges == ()
     assert g.independent_set_count() == 1
 
 
 def test_two_vertex_path():
-    g = build_apex_graph(((1, 2), (2, 1)), 2, 2)
+    g = ApexGraph(((1, 2), (2, 1)), (2, 2))
     assert positions(g) == [(1.0, 1.5), (1.5, 1.0)]
     assert len(g.edges) == 1
     assert [len(p) for p in g.paths] == [2]
@@ -59,7 +52,7 @@ def test_two_vertex_path():
 
 
 def test_two_singleton_paths():
-    g = build_apex_graph(((2, 1), (2, 2)), 2, 2)
+    g = ApexGraph(((2, 1), (2, 2)), (2, 2))
     assert positions(g) == [(1.5, 1.0), (1.5, 2.0)]
     assert g.edges == ()
     assert [len(p) for p in g.paths] == [1, 1]
@@ -121,21 +114,22 @@ def test_encode_zero_cell_and_example():
     cell = Arrangement((Piece(1, 1, 0, 0), Piece(2, 2, 0, 0)), (2, 2))
     g = ApexGraph(grid.apex_of(cell), (2, 2))
     assert g.encode(cell) == ("00",)
-    g = build_apex_graph(((1, 2), (2, 1)), 2, 2)
+    g = ApexGraph(((1, 2), (2, 1)), (2, 2))
     cell = g.decode(("10",))
     # first vertex in global order is the height option of the piece at (1, 2)
     assert cell.pieces == (Piece(1, 2, 0, 1), Piece(2, 1, 0, 0))
 
 
-def test_module_level_encode_decode():
+def test_encode_decode_in_own_apex_graph():
     cell = Arrangement((Piece(2, 2, 0, 1), Piece(1, 1, 0, 0)), (2, 2))
-    bits = encode_cell(cell)
+    g = ApexGraph(grid.apex_of(cell), cell.board)
+    bits = g.encode(cell)
     assert sum(s.count("1") for s in bits) == 1
-    assert decode_cell(grid.apex_of(cell), (2, 2), bits) == cell
+    assert g.decode(bits) == cell
 
 
 def test_decode_rejects_conflicts():
-    g = build_apex_graph(((1, 2), (2, 1)), 2, 2)
+    g = ApexGraph(((1, 2), (2, 1)), (2, 2))
     with pytest.raises(ValueError):
         g.decode(("11",))
     with pytest.raises(ValueError):
@@ -179,7 +173,7 @@ def test_fibonacci():
 
 
 def test_half_squares_singleton_example():
-    g = build_apex_graph(((2, 2),), 2, 2)
+    g = ApexGraph(((2, 2),), (2, 2))
     alloc = g.half_squares()
     assert [len(p) for p in g.paths] == [1, 1]
     sets = list(alloc.values())
@@ -228,7 +222,7 @@ def test_graph_validation():
 
 
 def test_to_json():
-    g = build_apex_graph(((1, 2), (2, 1)), 2, 2)
+    g = ApexGraph(((1, 2), (2, 1)), (2, 2))
     data = g.to_json()
     assert data["vertices"][0] == {"position": [1.0, 1.5], "owner": 0, "axis": "y"}
     assert data["edges"] == [[0, 1]]

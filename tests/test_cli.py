@@ -74,6 +74,33 @@ def test_betti_direct_cap_exit_3(capsys):
     assert "over the cap" in err
 
 
+def test_betti_morse_cap_exit_3(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a build over the cap must stop before any flow")
+
+    monkeypatch.setattr(parallel, "pmap", no_pool)
+    # (3,3,3) has 18 + 42 + 24 = 84 labeled critical cells
+    for method in ("morse", "restrict"):
+        code, out, err = run(
+            capsys, "betti", "--n", "3", "--p", "3", "--q", "3",
+            "--method", method, "--cell-cap", "83",
+        )
+        assert code == 3 and out == ""
+        assert "has 84 cells, over the cap of 83" in err
+
+
+def test_broken_pairing_exit_1(capsys, monkeypatch):
+    def cyclic(args):
+        raise morse.BrokenPairing("closed V-path through a test cell")
+
+    monkeypatch.setattr(morse, "_flow_chunk", cyclic)
+    code, out, err = run(
+        capsys, "betti", "--n", "3", "--p", "3", "--q", "3", "--threads", "1"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: closed V-path")
+
+
 def test_fvector_command(capsys):
     code, out, _ = run(capsys, "fvector", "--n", "5", "--p", "2", "--q", "5")
     assert code == 0 and out == "30240 109200 141600 79200 17520 960\n"
@@ -296,9 +323,9 @@ def test_config_values_must_be_integers(tmp_path):
         with pytest.raises(ValueError, match="'threads'"):
             load_config(bad, env={})
     good = tmp_path / "good.json"
-    good.write_text('{"cell_cap": 10, "flow_budget": "20"}')
+    good.write_text('{"cell_cap": 10, "vertex_cap": "20"}')
     cfg = load_config(good, env={})
-    assert (cfg.cell_cap, cfg.flow_budget) == (10, 20)
+    assert (cfg.cell_cap, cfg.vertex_cap) == (10, 20)
 
 
 def test_negative_limits_exit_2(capsys, monkeypatch, tmp_path):
@@ -307,9 +334,9 @@ def test_negative_limits_exit_2(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(parallel, "pmap", no_pool)
     argv = ["betti", "--n", "2", "--p", "2", "--q", "2"]
-    flags = ("--cell-cap", "--flow-budget", "--vertex-cap")
+    flags = ("--cell-cap", "--vertex-cap")
     cases = [([flag, "-1"], flag) for flag in flags]
-    for key in ("cell_cap", "flow_budget", "vertex_cap"):
+    for key in ("cell_cap", "vertex_cap"):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({key: -5}))
         cases.append((["--config", str(path)], repr(key)))
@@ -323,8 +350,8 @@ def test_negative_limits_exit_2(capsys, monkeypatch, tmp_path):
         cli.main(argv + ["--method", "direct"])
     assert err.value.code == 2
     assert "HARDSQ_CELL_CAP must not be negative" in capsys.readouterr().err
-    cfg = load_config(env={}, cell_cap=0, flow_budget=0, vertex_cap=0)
-    assert (cfg.cell_cap, cfg.flow_budget, cfg.vertex_cap) == (0, 0, 0)
+    cfg = load_config(env={}, cell_cap=0, vertex_cap=0)
+    assert (cfg.cell_cap, cfg.vertex_cap) == (0, 0)
 
 
 def test_every_command_loads_config(capsys, monkeypatch, tmp_path):

@@ -1,9 +1,10 @@
 import itertools
 import random
+import signal
 
 import pytest
 
-from hardsquares import grid, morse
+from hardsquares import grid, morse, oracle, parallel
 from hardsquares.apexgraph import path_lengths, path_strings
 from hardsquares.grid import Arrangement, Piece
 from hardsquares.homology import rank
@@ -181,18 +182,39 @@ def test_equivariant_assembly_matches_per_cell_flows():
             assert tris == list(mc.boundaries[d])
 
 
-def test_flow_budget():
-    found = False
-    for corners, dim in morse.critical_sets(4, 3, 3):
-        if dim == 0:
-            continue
-        cell = morse.critical_cell_for(corners, (3, 3))
-        try:
-            morse.flow_boundary(cell, {}, budget=0)
-        except morse.FlowBudgetExceeded:
-            found = True
-            break
-    assert found
+def test_closed_v_path_raises(monkeypatch):
+    edge = next(c for c in grid.enumerate_cells(2, 2, 2) if c.dim == 1)
+    ends = {f.pieces for f, _ in grid.boundary(edge)}
+    real = morse.cell_status
+
+    def cyclic(cell):
+        # both vertices of one edge pair up with it: a closed V-path
+        return ("up", edge) if cell.pieces in ends else real(cell)
+
+    def hung(signum, frame):
+        raise TimeoutError("the flow still runs on a cyclic pairing")
+
+    monkeypatch.setattr(morse, "cell_status", cyclic)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        with pytest.raises(morse.BrokenPairing, match="closed V-path"):
+            morse.flow_boundary(edge, {})
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_build_refuses_over_cell_cap(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a refused build must not flow")
+
+    monkeypatch.setattr(parallel, "pmap", no_pool)
+    with pytest.raises(oracle.CellCapExceeded) as err:
+        morse.build_morse_complex(3, 3, 3, cap=83)
+    assert (err.value.total, err.value.cap) == (84, 83)
+    monkeypatch.undo()
+    assert sum(morse.build_morse_complex(3, 3, 3, cap=84).counts) == 84
 
 
 def test_restrict_identity_and_examples():
