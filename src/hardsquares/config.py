@@ -7,8 +7,9 @@ lines of a vertex-list export).  Precedence: explicit keyword overrides
 HARDSQ_CELL_CAP, then an optional JSON config file, then defaults.  The
 thread count is clamped to [1, os.cpu_count()], since each thread is a
 forked worker process.  A value that is not an integer, a negative limit,
-a config file that cannot be read and one that does not hold a JSON
-object raise ValueError (invalid JSON already does).
+a config file that cannot be read, one that does not hold a JSON object
+and one with a key other than threads, cell_cap and vertex_cap raise
+ValueError (invalid JSON already does).
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def load_config(path=None, env=None, **overrides):
         if not isinstance(data, dict):
             raise ValueError(
                 f"config file {path!r} must hold a JSON object, not {type(data).__name__}"
+            )
+        unknown = [key for key in data if key not in values]
+        if unknown:
+            raise ValueError(
+                f"unknown config key {', '.join(map(repr, unknown))};"
+                f" the keys are {', '.join(values)}"
             )
     # (key, value, name in errors), lowest precedence first
     given = [(key, data[key], f"config key {key!r}") for key in values if key in data]

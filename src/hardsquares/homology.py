@@ -2,12 +2,12 @@
 
 Boundary matrices are stored as sparse integer triplets.  Every Betti
 number, whether of a Morse complex or of a full cubical complex, comes
-from betti_of_stream: the complex is shrunk by reduce.reduce_complex and
-the ranks of what is left give the Betti numbers.  The route depends on
-the field.  Over GF(2) only the coreduction cascade of reduce_complex
-runs, and rank uses bit-packed column elimination.  Over GF(p) and the
-rationals the greedy phase of reduce_complex runs too, and rank uses
-sparse row elimination.  Pivots are chosen by fixed rules, so results are
+from betti_of_stream: the complex is shrunk by the coreduction of
+reduce.reduce_complex, and the ranks of what is left give the Betti
+numbers.  One elimination serves every field: rank reduces columns in id
+order, pivoting on the highest row, and betti_of_stream ranks the
+degrees from the top down so that columns known to reduce to zero are
+skipped (clearing).  Pivots are chosen by fixed rules, so results are
 deterministic.  Nothing here checks that the boundary squares to zero
 except validate_d2, which the Morse build runs once per complex.
 """
@@ -48,10 +48,10 @@ class ChainComplex(NamedTuple):
 
 
 def parse_field(spec):
-    """Normalize a field name: "gf2", "gf<p>" with p prime, or "rational"."""
-    if spec in ("rational", "q", "Q"):
-        return ("rational", 0)
+    """Normalize a field name, in any case: "gf<p>" with p prime, or "rational"."""
     text = spec.lower()
+    if text in ("rational", "q"):
+        return ("rational", 0)
     if text.startswith("gf"):
         try:
             p = int(text[2:])
@@ -66,65 +66,96 @@ def parse_field(spec):
 _col = itemgetter(1)
 
 
-def rank(matrix, field="gf2"):
-    """Rank of a sparse integer matrix over the given field.
+def rank(matrix, field="gf2", cleared=frozenset()):
+    """Pivot rows of a sparse integer matrix reduced over the given field.
 
-    Over GF(2), bit-packed column elimination: each column is a Python int
-    over rows, its pivot is its highest set bit, and it is XORed with the
-    stored column of that pivot until it is zero or has a new pivot.  A
-    column's int is built only when that column's turn comes, and is kept
-    only if it becomes a pivot.
+    Columns are reduced in id order and each pivots on its highest nonzero
+    row: a column whose pivot row is already held by an earlier column is
+    combined with that column until it is zero or has a new pivot row.
+    The number of pivot rows is the rank.  Columns whose ids are in
+    cleared are skipped; the rank is unchanged when each of them would
+    have reduced to zero, which is how betti_of_stream uses it.
 
-    Over other fields, sparse row elimination: a row whose leading column
-    already has a pivot row is replaced by b*row - a*pivot, where a and b
-    are the two leading entries.  Over GF(p) entries are taken mod p; over
-    the rationals each combined row is divided by the gcd of its entries,
-    so the arithmetic stays exact in the integers.
+    Over GF(2) a column is a Python int over rows, XORed with pivot
+    columns.  Over GF(p) it is a dict of entries mod p, and pivot columns
+    are scaled to a leading 1.  Over the rationals it is a dict of integers
+    combined as b*col - a*piv, where a and b are the two leading entries
+    over their gcd, so the arithmetic stays exact in the integers; a
+    column scaled by b, and each new pivot column, is divided by the gcd
+    of its entries to keep them small.
     """
     _, p = parse_field(field) if isinstance(field, str) else field
-    if p == 2:
-        pivots = {}
-        for _, entries in groupby(sorted(matrix.entries, key=_col), _col):
-            bits = 0
-            for r, _, v in entries:
-                if v & 1:
-                    bits ^= 1 << r
-            while bits:
-                top = bits.bit_length() - 1
-                piv = pivots.get(top)
-                if piv is None:
-                    pivots[top] = bits
-                    break
-                bits ^= piv
-        return len(pivots)
-    rows = [dict() for _ in range(matrix.rows)]
-    for r, c, v in matrix.entries:
-        if p:
-            v %= p
-        if v:
-            rows[r][c] = v
+    reduce_column = _xor_column if p == 2 else _mod_column if p else _int_column
     pivots = {}
-    for row in rows:
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                pivots[c] = row
-                break
-            a = row[c]
-            b = piv[c]
-            new = {}
-            for k in row.keys() | piv.keys():
-                v = b * row.get(k, 0) - a * piv.get(k, 0)
-                if p:
-                    v %= p
-                if v:
-                    new[k] = v
-            if new and not p:
-                g = math.gcd(*new.values())
-                new = {k: v // g for k, v in new.items()}
-            row = new
-    return len(pivots)
+    for c, entries in groupby(sorted(matrix.entries, key=_col), _col):
+        if c not in cleared:
+            reduce_column(entries, pivots, p)
+    return set(pivots)
+
+
+def _xor_column(entries, pivots, _):
+    bits = 0
+    for r, _, v in entries:
+        if v & 1:
+            bits ^= 1 << r
+    while bits:
+        top = bits.bit_length() - 1
+        piv = pivots.get(top)
+        if piv is None:
+            pivots[top] = bits
+            return
+        bits ^= piv
+
+
+def _mod_column(entries, pivots, p):
+    col = {}
+    for r, _, v in entries:
+        if v % p:
+            col[r] = v % p
+    while col:
+        top = max(col)
+        piv = pivots.get(top)
+        if piv is None:
+            inv = pow(col[top], -1, p)
+            pivots[top] = {r: v * inv % p for r, v in col.items()}
+            return
+        a = col[top]
+        for r, v in piv.items():
+            w = (col.get(r, 0) - a * v) % p
+            if w:
+                col[r] = w
+            else:
+                del col[r]
+
+
+def _int_column(entries, pivots, _):
+    col = {r: v for r, _, v in entries if v}
+    while col:
+        top = max(col)
+        piv = pivots.get(top)
+        if piv is None:
+            g = math.gcd(*col.values())
+            if col[top] < 0:
+                g = -g
+            pivots[top] = {r: v // g for r, v in col.items()} if g != 1 else col
+            return
+        a = col[top]
+        b = piv[top]
+        g = math.gcd(a, b)
+        a //= g
+        b //= g
+        if b != 1:
+            col = {r: b * v for r, v in col.items()}
+        for r, v in piv.items():
+            w = col.get(r, 0) - a * v
+            if w:
+                col[r] = w
+            else:
+                del col[r]
+        if b != 1:
+            g = math.gcd(*col.values())
+            if g > 1:
+                col = {r: v // g for r, v in col.items()}
 
 
 def validate_d2(cc):
@@ -174,20 +205,21 @@ def betti(cc, field="gf2"):
 def betti_of_stream(counts, triples, field="gf2"):
     """Betti numbers from cell counts and (degree, row, col, value) entries.
 
-    The complex is shrunk by reduce_complex, which is exact over the
-    integers and so valid for every field.  Over GF(2) only its
-    coreduction cascade runs, since the bit-packed column rank finishes
-    what is left faster than greedy elimination would; over GF(p) and the
-    rationals greedy unit-pivot elimination follows, because the row
-    elimination is slow on large inputs.  Then
+    The complex is shrunk by the coreduction of reduce_complex, which is
+    exact over the integers and so valid for every field.  What is left is
+    ranked one degree at a time from the top down, with clearing: a column
+    of d_j that is a pivot row of d_{j+1} would reduce to zero, because
+    d_j d_{j+1} = 0, so rank skips it.  Then
     beta_j = seeds*[j == 0] + dim C_j - rank d_j - rank d_{j+1}
     on what is left, trailing zeros trimmed.
     """
     fieldpair = parse_field(field) if isinstance(field, str) else field
-    seeds, counts, tris = reduce_complex(counts, triples, greedy=fieldpair[1] != 2)
+    seeds, counts, tris = reduce_complex(counts, triples)
     ranks = [0] * (len(counts) + 1)
-    for j in range(1, len(counts)):
-        ranks[j] = rank(SparseMatrix(counts[j - 1], counts[j], tris[j]), fieldpair)
+    cleared = frozenset()
+    for j in range(len(counts) - 1, 0, -1):
+        cleared = rank(SparseMatrix(counts[j - 1], counts[j], tris[j]), fieldpair, cleared)
+        ranks[j] = len(cleared)
         tris[j] = None  # freed before the next rank, whose pivots can set peak memory
     return trim(
         (seeds if j == 0 else 0) + counts[j] - ranks[j] - ranks[j + 1]

@@ -2,37 +2,30 @@
 
 Cancelling a pair of cells (a, b) with [db : a] = +-1 quotients out an
 acyclic two-cell subcomplex, so homology over every coefficient field is
-unchanged.  The update touches only the other columns containing a:
-d'c = dc - ([dc:a]/[db:a]) db.
-
-Two schedules are combined.  When every 1-cell boundary is empty or of
-the form x - y (true of cubical and of Morse complexes), the map sending
-each vertex to 1 is an augmentation, so a vertex can be split off as a
-free generator of H_0; a cascade of free-coface cancellations seeded by
-such vertex removals then eats most of the complex with zero fill-in.
-What survives, or any complex whose 1-cell boundaries are not of that
-form, is finished by greedy unit-pivot elimination with a
-smallest-fill-first heap, unless the caller turns that phase off:
-homology does so over GF(2), where its bit-packed column rank finishes
-the complex faster than the greedy phase would.
+unchanged.  When every 1-cell boundary is empty or of the form x - y
+(true of cubical and of Morse complexes), the map sending each vertex to
+1 is an augmentation, so a vertex can be split off as a free generator of
+H_0; a cascade of free-coface cancellations seeded by such vertex
+removals then eats most of the complex with zero fill-in.  What survives
+is left to homology.rank, whose column elimination works over every
+field.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 
 
-def reduce_complex(counts, triples, greedy=True):
+def reduce_complex(counts, triples):
     """Shrink a chain complex without changing its homology.
 
     counts: cells per dimension.  triples: iterable of (degree, row, col,
-    value) boundary entries.  The coreduction phase runs only when every
-    1-cell boundary is empty or x - y; the greedy phase runs only when
-    greedy is true.
+    value) boundary entries.  Coreduction runs only when every 1-cell
+    boundary is empty or x - y; otherwise the complex is returned whole.
 
-    Returns (seed_vertices, remaining_counts, remaining_triples) where
-    seed_vertices counts free H_0 generators split off during coreduction:
+    Returns (seed_vertices, remaining_counts, remaining_triples), the
+    triples of each degree in column order, where seed_vertices counts
+    free H_0 generators split off during coreduction:
     beta_j = seeds*[j == 0] + (remaining formula over any field).
     """
     offs = [0]
@@ -52,8 +45,6 @@ def reduce_complex(counts, triples, greedy=True):
     edges = bnd[offs[1]:offs[2]] if len(counts) > 1 else ()
     if counts and all(not col or sorted(col.values()) == [-1, 1] for col in edges):
         seeds = _coreduce(counts[0], bnd, cob, alive)
-    if greedy:
-        _greedy(bnd, cob, alive, total)
 
     remap = {}
     counts2 = [0] * len(counts)
@@ -70,7 +61,6 @@ def reduce_complex(counts, triples, greedy=True):
                 c = remap[g]
                 for gr, v in bnd[g].items():
                     tri.append((remap[gr], c, v))
-        tri.sort()
     return seeds, counts2, tris2
 
 
@@ -96,7 +86,7 @@ def _coreduce(nvert, bnd, cob, alive):
                 continue
             ((a, lam),) = bnd[b].items()
             if lam not in (1, -1):
-                continue  # left for the greedy phase, or for rank
+                continue  # left for rank
             alive[a] = 0
             alive[b] = 0
             bnd[b].clear()
@@ -113,61 +103,3 @@ def _coreduce(nvert, bnd, cob, alive):
             drop_row(v)
             cascade()
     return seeds
-
-
-def _greedy(bnd, cob, alive, total):
-    "Unit-pivot elimination, smallest estimated fill first."
-    heap = []
-    for b in range(total):
-        if alive[b]:
-            for a, v in bnd[b].items():
-                if v in (1, -1):
-                    heap.append((len(bnd[b]) - 1, a, b))
-    heapq.heapify(heap)
-
-    def live_cofaces(a):
-        # cob may hold duplicates: entries deleted by fill-in and later
-        # recreated append a second time
-        out = []
-        seen = set()
-        for c in cob[a]:
-            if c not in seen and alive[c] and a in bnd[c]:
-                seen.add(c)
-                out.append(c)
-        return out
-
-    while heap:
-        est, a, b = heapq.heappop(heap)
-        if not alive[a] or not alive[b]:
-            continue
-        lam = bnd[b].get(a)
-        if lam not in (1, -1):
-            continue
-        others = [c for c in live_cofaces(a) if c != b]
-        fill = len(others) * (len(bnd[b]) - 1)
-        if fill > est:
-            heapq.heappush(heap, (fill, a, b))
-            continue
-        col_b = list(bnd[b].items())
-        for c in others:
-            col = bnd[c]
-            f = -col[a] * lam
-            for x, vx in col_b:
-                nv = col.get(x, 0) + f * vx
-                if nv:
-                    if x not in col:
-                        cob[x].append(c)
-                    col[x] = nv
-                    if nv in (1, -1):
-                        heapq.heappush(heap, (len(col) - 1, x, c))
-                else:
-                    col.pop(x, None)
-        alive[a] = 0
-        alive[b] = 0
-        bnd[a].clear()
-        bnd[b].clear()
-        for x in (a, b):
-            for e in cob[x]:
-                if alive[e]:
-                    bnd[e].pop(x, None)
-            cob[x] = []

@@ -316,6 +316,18 @@ def test_bad_config_exit_2(capsys, tmp_path):
         assert message in capsys.readouterr().err
 
 
+def test_unknown_config_key_exit_2(capsys, tmp_path):
+    # a removed key or a misspelt limit must not fall back to the default
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"flow_budget": 5, "cell-cap": 1}))
+    with pytest.raises(SystemExit) as err:
+        cli.main(["critical", "--n", "2", "--p", "2", "--q", "2", "--config", str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'flow_budget'" in captured.err and "'cell-cap'" in captured.err
+
+
 def test_config_values_must_be_integers(tmp_path):
     for text in ('{"threads": null}', '{"threads": 2.5}', '{"threads": true}'):
         bad = tmp_path / "bad.json"

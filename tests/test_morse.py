@@ -154,7 +154,7 @@ def test_morse_boundary_rejects_non_critical():
 def test_morse_matrix_rank_222():
     mc = shared.morse_complex(2, 2, 2)
     assert mc.counts == (4, 4)
-    assert rank(mc.chain_complex().matrix(1), "gf2") == 3
+    assert len(rank(mc.chain_complex().matrix(1), "gf2")) == 3
 
 
 def test_morse_d2_zero():

@@ -153,7 +153,7 @@ def test_rank_matches_dense_reference(m):
     for r, c, v in m.entries:
         rows[r][c] = v
     for field, p in (("gf2", 2), ("gf3", 3), ("rational", 0)):
-        assert rank(m, field) == dense_rank(rows, m.cols, p)
+        assert len(rank(m, field)) == dense_rank(rows, m.cols, p)
 
 
 @settings(max_examples=100, deadline=None)
