@@ -78,11 +78,6 @@ def cmd_betti(parser, args, cfg):
     n, p, q = args.n, args.p, args.q
     if args.method == "direct":
         bv = oracle.direct_betti(n, p, q, field, cap=cfg.cell_cap)
-    elif args.method == "restrict":
-        if p > n or q > n:
-            parser.error("--method restrict requires p <= n and q <= n")
-        full = morse.build_morse_complex(n, n, n, threads=cfg.threads, cap=cfg.cell_cap)
-        bv = full.restrict(p, q).betti(field)
     else:
         mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, cap=cfg.cell_cap)
         bv = mc.betti(field)
@@ -330,9 +325,7 @@ def build_parser():
     p_betti = sub.add_parser("betti", help="Betti numbers of one instance")
     _instance_args(p_betti)
     p_betti.add_argument("--field", default="gf2", help="gf2, gf<p>, or rational")
-    p_betti.add_argument(
-        "--method", choices=("morse", "direct", "restrict"), default="morse"
-    )
+    p_betti.add_argument("--method", choices=("morse", "direct"), default="morse")
     _common(p_betti)
     p_betti.set_defaults(func=cmd_betti)
 

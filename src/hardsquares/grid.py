@@ -162,22 +162,13 @@ def relabel_sign(arr, perm):
 
     The boundary signs follow the position of each free coordinate in the
     x1,y1,...,xn,yn order, so reordering pieces permutes the free
-    coordinates; this returns the parity of that permutation.
+    coordinates; this returns the parity of that permutation.  Pieces j < l
+    whose order flips add e_j * e_l inversions, e the number of extensions,
+    so the parity is that of perm restricted to the pieces with odd e.
     """
-    pos = [0] * len(perm)
-    for k, j in enumerate(perm):
-        pos[j] = k
-    keys = []
-    for j, pc in enumerate(arr.pieces):
-        if pc.left:
-            keys.append((pos[j], 0))
-        if pc.down:
-            keys.append((pos[j], 1))
-    inversions = 0
-    for i in range(len(keys)):
-        for l in range(i + 1, len(keys)):
-            if keys[l] < keys[i]:
-                inversions += 1
+    pieces = arr.pieces
+    odd = [j for j in perm if (pieces[j].left + pieces[j].down) & 1]
+    inversions = sum(b < a for i, a in enumerate(odd) for b in odd[i + 1 :])
     return -1 if inversions & 1 else 1
 
 

@@ -5,12 +5,15 @@ graph, and are matched by a recursive rule on those strings.  At most one
 cell per apex stays unmatched (critical).  The Morse complex lives on the
 critical cells; its boundary is computed by flowing each cubical facet
 through the matching until only critical cells remain, once per critical
-corner set, since the labeled critical cells are free S_n-orbits.  A flow
-ends because the pairing is acyclic; a closed V-path raises BrokenPairing
-instead of looping.  The build refuses, with oracle.CellCapExceeded, a
-complex whose labeled critical cells exceed the cell cap, and checks
-d o d = 0 on the complex it returns; restrict keeps only subcomplexes, so
-restricted complexes are not checked again.
+corner set, since the labeled critical cells are free S_n-orbits; each
+corner set's n! labelings get consecutive ids.  A flow ends because the
+pairing is acyclic; a closed V-path raises BrokenPairing instead of
+looping, and verify_acyclic flows every cell to look for one.  Critical
+cells are decoded by the apex's ApexGraph.  The build refuses, with
+oracle.CellCapExceeded, a complex whose labeled critical cells exceed the
+cell cap, and checks d o d = 0 on the complex it returns; restrict keeps
+whole blocks of labelings and only subcomplexes, so restricted complexes
+are not checked again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from functools import lru_cache
 
 from . import grid
-from .apexgraph import cached_structure
+from .apexgraph import ApexGraph, cached_structure
 from .grid import Arrangement, Piece, boundary, relabel, relabel_sign
 from .homology import ChainComplex, betti, validate_d2
 from .oracle import DEFAULT_CELL_CAP, CellCapExceeded
@@ -44,56 +47,56 @@ def critical_string(k):
     return "010" * (k // 3) + ("" if r == 0 else "01")
 
 
-def match_string(s):
-    """Partner of s under the pairing, or None when s is unmatched.
+def _flip_index(s):
+    """Index of the bit the pairing flips in s, or None when s is unmatched.
 
-    Strip leading 010 blocks, then flip the first remaining bit; the empty
-    remainder and the remainder 01 are the unmatched cases.  An involution:
-    matched partners differ in exactly one bit.
+    Strip leading 010 blocks; the empty remainder and the remainder 01 are
+    the unmatched cases, otherwise the first remaining bit flips.
     """
-    if "11" in s or s.strip("01"):
-        raise ValueError(f"{s!r} is not an independence string")
     i = 0
     while s.startswith("010", i):
         i += 3
-    rest = s[i:]
-    if rest in ("", "01"):
+    return None if s[i:] in ("", "01") else i
+
+
+def match_string(s):
+    """Partner of s under the pairing, or None when s is unmatched.
+
+    An involution: matched partners differ in exactly the bit _flip_index
+    names.
+    """
+    if "11" in s or s.strip("01"):
+        raise ValueError(f"{s!r} is not an independence string")
+    i = _flip_index(s)
+    if i is None:
         return None
-    flip = "1" if s[i] == "0" else "0"
-    return s[:i] + flip + s[i + 1 :]
-
-
-def _paths_of(arr):
-    corners = tuple(sorted((pc.col, pc.row) for pc in arr.pieces))
-    return cached_structure(corners)
+    return s[:i] + ("1" if s[i] == "0" else "0") + s[i + 1 :]
 
 
 def match_cell(arr):
     """Partner cell of arr under the gradient pairing, or None if critical.
 
-    The first path (in canonical order) whose string is not the unmatched
-    pattern gets its string replaced by its partner; every other option is
-    kept.  Label-blind, so the pairing commutes with relabeling.
+    The first path (in canonical order) whose string is matched gets the
+    flipped bit of match_string; every other option is kept.  Label-blind,
+    so the pairing commutes with relabeling.
     """
     pieces = arr.pieces
     owner = {(pc.col, pc.row): k for k, pc in enumerate(pieces)}
-    for path in _paths_of(arr):
+    for path in cached_structure(tuple(sorted(owner))):
         bits = []
-        for (c, r), axis in path:
-            pc = pieces[owner[(c, r)]]
+        for corner, axis in path:
+            pc = pieces[owner[corner]]
             bits.append("1" if (pc.left if axis == 0 else pc.down) else "0")
-        s = "".join(bits)
-        if s == critical_string(len(path)):
+        i = _flip_index("".join(bits))
+        if i is None:
             continue
-        partner = match_string(s)
-        pos = next(i for i in range(len(s)) if s[i] != partner[i])
-        (c, r), axis = path[pos]
+        (c, r), axis = path[i]
         k = owner[(c, r)]
         pc = pieces[k]
         if axis == 0:
-            new = Piece(pc.col, pc.row, 1 - pc.left, pc.down)
+            new = Piece(c, r, 1 - pc.left, pc.down)
         else:
-            new = Piece(pc.col, pc.row, pc.left, 1 - pc.down)
+            new = Piece(c, r, pc.left, 1 - pc.down)
         return Arrangement(pieces[:k] + (new,) + pieces[k + 1 :], arr.board)
     return None
 
@@ -116,25 +119,9 @@ def critical_cell_for(apex, board):
     0 or 2 mod 3 vertices; the critical cell then takes the unmatched
     pattern on every path.
     """
-    corners = tuple(sorted(apex))
-    if len(set(corners)) != len(corners):
-        raise ValueError("apex corners must be pairwise distinct")
-    paths = cached_structure(corners)
-    if any(len(path) % 3 == 1 for path in paths):
-        return None
-    owner = {c: k for k, c in enumerate(apex)}
-    left = [0] * len(apex)
-    down = [0] * len(apex)
-    for path in paths:
-        pattern = critical_string(len(path))
-        for ((c, r), axis), bit in zip(path, pattern):
-            if bit == "1":
-                if axis == 0:
-                    left[owner[(c, r)]] = 1
-                else:
-                    down[owner[(c, r)]] = 1
-    pieces = tuple(Piece(c, r, left[k], down[k]) for k, (c, r) in enumerate(apex))
-    return Arrangement(pieces, board)
+    graph = ApexGraph(apex, board)
+    bits = [critical_string(len(path)) for path in graph.paths]
+    return None if None in bits else graph.decode(bits)
 
 
 def critical_sets(n, p, q):
@@ -274,17 +261,16 @@ def _flow_chunk(args):
 class MorseComplex:
     """Critical cells by dimension plus the signed Morse boundary matrices.
 
-    cells[d] lists the labeled critical d-cells; boundaries[d] holds the
-    (row, col, coeff) triplets of the map from d-cells to (d-1)-cells,
-    sorted by (row, col).
+    cells[d] lists the labeled critical d-cells, the n! labelings of each
+    corner set consecutive; boundaries[d] holds the (row, col, coeff)
+    triplets of the map from d-cells to (d-1)-cells, sorted by (row, col).
     """
 
-    def __init__(self, n, board, cells, boundaries, spans):
+    def __init__(self, n, board, cells, boundaries):
         self.n = n
         self.board = board
         self.cells = cells
         self.boundaries = boundaries
-        self.spans = spans  # per dim, per cell: (max col, max row) of the apex
 
     @property
     def counts(self):
@@ -299,27 +285,26 @@ class MorseComplex:
     def restrict(self, p, q):
         """Sub-Morse-complex of critical cells whose apex fits in p x q.
 
-        Valid because boundaries only move apexes left and down; a dropped
-        row under a kept column would mean the pairing is broken.
+        Keeps or drops each corner set's block of n! labelings whole, by
+        the corners of its first cell.  Valid because boundaries only move
+        apexes left and down; a dropped row under a kept column would mean
+        the pairing is broken.
         """
         bp, bq = self.board
         if p > bp or q > bq:
             raise ValueError(f"cannot restrict {self.board} to larger ({p}, {q})")
+        block = math.factorial(self.n)
         keep = []
-        index = []
-        for d in range(len(self.cells)):
-            sel = [
-                i
-                for i, (mc, mr) in enumerate(self.spans[d])
-                if mc <= p and mr <= q
-            ]
+        for cells in self.cells:
+            sel = []
+            for start in range(0, len(cells), block):
+                if all(pc.col <= p and pc.row <= q for pc in cells[start].pieces):
+                    sel.extend(range(start, start + block))
             keep.append({old: new for new, old in enumerate(sel)})
-            index.append(sel)
         cells = [
-            [Arrangement(self.cells[d][i].pieces, (p, q)) for i in index[d]]
-            for d in range(len(self.cells))
+            [Arrangement(self.cells[d][i].pieces, (p, q)) for i in kept]
+            for d, kept in enumerate(keep)
         ]
-        spans = [[self.spans[d][i] for i in index[d]] for d in range(len(self.cells))]
         boundaries = [[]]
         for d in range(1, len(self.cells)):
             tri = []
@@ -333,9 +318,8 @@ class MorseComplex:
             boundaries.append(tri)
         while len(cells) > 1 and not cells[-1]:
             cells.pop()
-            spans.pop()
             boundaries.pop()
-        return MorseComplex(self.n, (p, q), cells, boundaries, spans)
+        return MorseComplex(self.n, (p, q), cells, boundaries)
 
     def to_json(self):
         return {
@@ -375,15 +359,13 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     perm_id = {perm: i for i, perm in enumerate(perms)}
     first = {}  # corner set -> (dim, id of its first labeling)
     top = max((dim for _, dim in sets), default=0) + 1
-    cells, boundaries, spans = ([[] for _ in range(top)] for _ in range(3))
+    cells = [[] for _ in range(top)]
+    boundaries = [[] for _ in range(top)]
     for corners, dim in sets:
         col = len(cells[dim])
         first[corners] = (dim, col)
         rep = critical_cell_for(corners, board)
         cells[dim] += [relabel(rep, perm) for perm in perms]
-        max_col = max((c for c, _ in corners), default=1)
-        max_row = max((r for _, r in corners), default=1)
-        spans[dim] += [(max_col, max_row)] * len(perms)
         if dim == 0:
             continue
         targets = []
@@ -404,7 +386,7 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
                 boundaries[dim].append((row + perm_id[pi], col + i, sign * coeff))
     for tri in boundaries:
         tri.sort()
-    mc = MorseComplex(n, board, cells, boundaries, spans)
+    mc = MorseComplex(n, board, cells, boundaries)
     validate_d2(mc.chain_complex())
     return mc
 
@@ -424,44 +406,15 @@ def _split(items, parts):
 
 
 def verify_acyclic(n, p, q):
-    """Exhaustively check that the pairing has no closed V-path."""
-    ups = {}
-    for cell in grid.enumerate_cells(n, p, q):
-        status, partner = cell_status(cell)
-        if status == "up":
-            ups[cell.pieces] = partner
-    # successor upper cells: from E through a facet f' (not its partner)
-    # that is itself paired upward
-    adj = {}
-    for fk, upper in ups.items():
-        succ = []
-        for f2, _ in boundary(upper):
-            k2 = f2.pieces
-            if k2 != fk and k2 in ups and ups[k2].pieces != upper.pieces:
-                succ.append(ups[k2].pieces)
-        adj[upper.pieces] = succ
+    """Exhaustively check that the pairing has no closed V-path.
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {k: WHITE for k in adj}
-    for root in adj:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in color:
-                    continue
-                if color[nxt] == GRAY:
-                    return False
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+    Flows every cell with one shared memo; the flow raises BrokenPairing
+    exactly when it meets a closed V-path.
+    """
+    memo = {}
+    try:
+        for cell in grid.enumerate_cells(n, p, q):
+            _flow_chain(cell, memo)
+    except BrokenPairing:
+        return False
     return True

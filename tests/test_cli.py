@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from hardsquares import cli, grid, morse, parallel
+from hardsquares import cli, grid, morse, oracle, parallel
 from hardsquares.config import load_config
 
 
@@ -33,13 +33,13 @@ def test_betti_trivial_and_empty(capsys):
 
 def test_betti_methods_agree(capsys):
     results = []
-    for method in ("morse", "direct", "restrict"):
+    for method in ("morse", "direct"):
         code, out, _ = run(
             capsys, "betti", "--n", "3", "--p", "2", "--q", "3", "--method", method
         )
         assert code == 0
         results.append(out)
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1]
 
 
 def test_betti_field_flag(capsys):
@@ -56,7 +56,6 @@ def test_betti_invalid_args_exit_2(capsys):
     for argv in (
         ["betti", "--n", "-1", "--p", "2", "--q", "2"],
         ["betti", "--n", "2", "--p", "0", "--q", "2"],
-        ["betti", "--n", "2", "--p", "3", "--q", "2", "--method", "restrict"],
     ):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
@@ -80,13 +79,11 @@ def test_betti_morse_cap_exit_3(capsys, monkeypatch):
 
     monkeypatch.setattr(parallel, "pmap", no_pool)
     # (3,3,3) has 18 + 42 + 24 = 84 labeled critical cells
-    for method in ("morse", "restrict"):
-        code, out, err = run(
-            capsys, "betti", "--n", "3", "--p", "3", "--q", "3",
-            "--method", method, "--cell-cap", "83",
-        )
-        assert code == 3 and out == ""
-        assert "has 84 cells, over the cap of 83" in err
+    code, out, err = run(
+        capsys, "betti", "--n", "3", "--p", "3", "--q", "3", "--cell-cap", "83"
+    )
+    assert code == 3 and out == ""
+    assert "has 84 cells, over the cap of 83" in err
 
 
 def test_broken_pairing_exit_1(capsys, monkeypatch):
@@ -237,6 +234,17 @@ def test_verify_command(capsys):
     assert all(line.startswith(("ok", "note")) for line in out.splitlines())
     code, out, _ = run(capsys, "verify", "--n", "3", "--p", "3", "--q", "3")
     assert code == 0
+
+
+def test_verify_reports_failure(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "direct_betti", lambda *args, **kwargs: (1, 2))
+    code, out, _ = run(capsys, "verify", "--n", "2", "--p", "2", "--q", "2", "--deep")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert failed == [
+        "FAIL: direct homology agrees with morse route:"
+        " direct route gives (1, 2), morse route gives (1, 1)"
+    ]
 
 
 def test_inspect_command(capsys):

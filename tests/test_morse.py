@@ -182,19 +182,25 @@ def test_equivariant_assembly_matches_per_cell_flows():
             assert tris == list(mc.boundaries[d])
 
 
-def test_closed_v_path_raises(monkeypatch):
+def _cyclic_pairing(monkeypatch):
+    "Patch cell_status so both vertices of one (2,2,2) edge pair up with it."
     edge = next(c for c in grid.enumerate_cells(2, 2, 2) if c.dim == 1)
     ends = {f.pieces for f, _ in grid.boundary(edge)}
     real = morse.cell_status
 
     def cyclic(cell):
-        # both vertices of one edge pair up with it: a closed V-path
         return ("up", edge) if cell.pieces in ends else real(cell)
+
+    monkeypatch.setattr(morse, "cell_status", cyclic)
+    return edge
+
+
+def test_closed_v_path_raises(monkeypatch):
+    edge = _cyclic_pairing(monkeypatch)
 
     def hung(signum, frame):
         raise TimeoutError("the flow still runs on a cyclic pairing")
 
-    monkeypatch.setattr(morse, "cell_status", cyclic)
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(10)
     try:
@@ -253,6 +259,11 @@ def test_verify_acyclic():
     for p in range(1, 5):
         for q in range(1, 5):
             assert morse.verify_acyclic(1, p, q)
+
+
+def test_verify_acyclic_rejects_cyclic_pairing(monkeypatch):
+    _cyclic_pairing(monkeypatch)
+    assert not morse.verify_acyclic(2, 2, 2)
 
 
 def test_morse_counts_dominate_betti():

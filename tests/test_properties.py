@@ -14,6 +14,9 @@ the homology gains torsion, and an edge scaled so has a boundary that no
 sign change makes x - y, which is where splitting off vertices as free
 H_0 generators would give wrong answers.  Renumbering the cells of each
 dimension must leave every Betti number unchanged.
+
+grid.relabel_sign is checked against the plain count of inversions of
+the free coordinates in x1,y1,...,xn,yn order.
 """
 
 from fractions import Fraction
@@ -24,6 +27,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from hardsquares import grid
 from hardsquares.homology import ChainComplex, SparseMatrix, betti, rank, trim
 
 SHAPES = ((1, 3), (2, 2), (3, 3), (1, 2, 2), (2, 2, 2))
@@ -167,3 +171,28 @@ def test_betti_unchanged_by_renumbering(cc, data):
     renumbered = ChainComplex(cc.counts, tris)
     for field in ("gf2", "gf3", "rational"):
         assert betti(renumbered, field) == betti(cc, field)
+
+
+def coordinate_order_sign(arr, perm):
+    "Parity of the reordering of the free coordinates that relabeling makes."
+    pos = [0] * len(perm)
+    for k, j in enumerate(perm):
+        pos[j] = k
+    keys = []
+    for j, pc in enumerate(arr.pieces):
+        keys += [(pos[j], axis) for axis, free in enumerate((pc.left, pc.down)) if free]
+    inversions = sum(
+        keys[l] < keys[i] for i in range(len(keys)) for l in range(i + 1, len(keys))
+    )
+    return -1 if inversions & 1 else 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=7), st.data())
+def test_relabel_sign_matches_coordinate_order(extensions, data):
+    pieces = tuple(
+        grid.Piece(2 * k + 2, 2, left, down) for k, (left, down) in enumerate(extensions)
+    )
+    arr = grid.Arrangement(pieces, (2 * len(pieces) + 2, 2))
+    perm = tuple(data.draw(st.permutations(range(len(pieces)))))
+    assert grid.relabel_sign(arr, perm) == coordinate_order_sign(arr, perm)
