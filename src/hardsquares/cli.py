@@ -3,16 +3,19 @@
 Subcommands compute Betti vectors (betti), f-vectors (fvector), critical
 cell counts (critical), the reference table of Betti numbers (table),
 plain-text and JSON exports (export), invariant checking (verify), and an
-apex-graph dump (inspect).
+apex-graph dump (inspect).  argparse checks every argument once: --n is
+at least 0, --p, --q and --threads at least 1, --field is a parse_field name.
 
-Exit codes: 0 success, 2 invalid arguments (including --threads below 1,
-a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, a negative
-cell cap or vertex cap, and a --config file that is missing, unreadable,
-not a JSON object or has a value that is not an integer), 3 a configured
-cap refused the computation (CellCapExceeded, for a direct or a Morse
-build, or an export or dump over its cap), 1 a verify check failed or the
-gradient pairing has a closed V-path (BrokenPairing), 4 a worker process
-died (BrokenProcessPool).  main maps the exceptions to their codes.
+Exit codes: 0 success, 2 invalid arguments (an argparse error naming the
+flag, a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, a
+negative cell cap or vertex cap, and a --config file that is missing,
+unreadable, not a JSON object or has a value that is not an integer), 3 a
+cap refused the computation (CellCapExceeded for every cell cap: a direct
+or Morse build, complex-json, critical --dump; the vertex-list export has
+its own vertex cap), 1 a verify check failed or the gradient pairing has a
+closed V-path (BrokenPairing), 4 a worker process died
+(BrokenProcessPool).  main maps the exceptions to their codes.  verify
+reports a check over its size limit as skipped, with the CellCapExceeded text.
 """
 
 from __future__ import annotations
@@ -34,53 +37,50 @@ EXIT_CAP = 3
 EXIT_WORKER = 4
 
 
-def _positive_int(text):
+def _at_least(low):
+    "argparse type: an integer no smaller than low."
+
+    def check(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return check
+
+
+def _field(spec):
+    "argparse type: a field name parse_field accepts, returned unchanged."
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+        parse_field(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
 
 
 def _common(parser):
-    parser.add_argument("--threads", type=_positive_int, help="worker processes")
+    parser.add_argument("--threads", type=_at_least(1), help="worker processes")
     parser.add_argument("--cell-cap", type=int, help="max cells of a built complex")
     parser.add_argument("--vertex-cap", type=int, help="max lines for vertex exports")
     parser.add_argument("--config", help="JSON config file")
 
 
 def _instance_args(parser):
-    parser.add_argument("--n", type=int, required=True)
-    parser.add_argument("--p", type=int, required=True)
-    parser.add_argument("--q", type=int, required=True)
-
-
-def _check_instance(parser, args):
-    if args.n < 0:
-        parser.error("--n must be non-negative")
-    if args.p < 1 or args.q < 1:
-        parser.error("--p and --q must be at least 1")
-
-
-def _parse_field_arg(parser, spec):
-    try:
-        parse_field(spec)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return spec
+    parser.add_argument("--n", type=_at_least(0), required=True)
+    parser.add_argument("--p", type=_at_least(1), required=True)
+    parser.add_argument("--q", type=_at_least(1), required=True)
 
 
 def cmd_betti(parser, args, cfg):
-    _check_instance(parser, args)
-    field = _parse_field_arg(parser, args.field)
     n, p, q = args.n, args.p, args.q
     if args.method == "direct":
-        bv = oracle.direct_betti(n, p, q, field, cap=cfg.cell_cap)
+        bv = oracle.direct_betti(n, p, q, args.field, cap=cfg.cell_cap)
     else:
         mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, cap=cfg.cell_cap)
-        bv = mc.betti(field)
+        bv = mc.betti(args.field)
     if n > p * q:
         print(f"note: empty complex, n = {n} exceeds the board area {p * q}", file=sys.stderr)
     print(" ".join(str(b) for b in bv))
@@ -89,37 +89,27 @@ def cmd_betti(parser, args, cfg):
 
 
 def cmd_fvector(parser, args, cfg):
-    _check_instance(parser, args)
     fv = grid.f_vector(args.n, args.p, args.q, threads=cfg.threads)
     print(" ".join(str(x) for x in fv))
     return 0
 
 
 def cmd_critical(parser, args, cfg):
-    _check_instance(parser, args)
-    counts = morse.critical_counts(args.n, args.p, args.q)
+    n, p, q = args.n, args.p, args.q
+    counts = morse.critical_counts(n, p, q)
     print(" ".join(str(m) for m in counts))
     if args.dump:
         total = sum(counts)
         if total > cfg.cell_cap:
-            print(f"{total} critical cells, over the cap of {cfg.cell_cap}", file=sys.stderr)
-            return EXIT_CAP
-        cells = [
-            {
-                "pieces": [[pc.col, pc.row, pc.left, pc.down] for pc in cell.pieces],
-                "dim": cell.dim,
-            }
-            for cell in morse.iter_critical_cells(args.n, args.p, args.q)
-        ]
-        payload = {"n": args.n, "p": args.p, "q": args.q, "cells": cells}
+            raise oracle.CellCapExceeded(n, p, q, total, cfg.cell_cap)
+        cells = [grid.cell_json(cell) for cell in morse.iter_critical_cells(n, p, q)]
         with open(args.dump, "w") as fh:
-            json.dump(payload, fh)
+            json.dump({"n": n, "p": p, "q": q, "cells": cells}, fh)
             fh.write("\n")
     return 0
 
 
 def cmd_table(parser, args, cfg):
-    field = _parse_field_arg(parser, args.field)
     k = args.max_n
     if k < 2:
         print("warning: no table rows for max-n below 2", file=sys.stderr)
@@ -138,7 +128,7 @@ def cmd_table(parser, args, cfg):
                 for q in range(p, n + 1):
                     if n > p * q:
                         continue
-                    bv = full.restrict(p, q).betti(field)
+                    bv = full.restrict(p, q).betti(args.field)
                     labels = oracle.classify_regime(n, p, q, bv)
                     padded = list(bv) + [0] * (k - len(bv))
                     writer.writerow([n, p, q] + padded + [" ".join(labels)])
@@ -149,7 +139,6 @@ def cmd_table(parser, args, cfg):
 
 
 def cmd_export(parser, args, cfg):
-    _check_instance(parser, args)
     n, p, q = args.n, args.p, args.q
     if args.format == "vertex-list":
         count = math.perm(p * q, n)
@@ -172,8 +161,6 @@ def cmd_export(parser, args, cfg):
 
 
 def cmd_inspect(parser, args, cfg):
-    if args.p < 1 or args.q < 1:
-        parser.error("--p and --q must be at least 1")
     try:
         corners = []
         for part in args.corners.split(";"):
@@ -187,26 +174,25 @@ def cmd_inspect(parser, args, cfg):
 
 
 def _verify_checks(n, p, q, cfg, deep):
-    "Yield (name, callable) pairs; callables raise AssertionError on failure."
+    """(name, callable) pairs; a callable raises AssertionError on failure
+    and CellCapExceeded when the instance is over its size limit."""
     board = (p, q)
     fv = grid.f_vector(n, p, q, threads=cfg.threads)
     total = sum(fv)
-    state = {}
+    state = {"betti": None}  # the Morse route's, None unless it ran
 
-    def enumeration_counts():
-        assert total <= 400_000, f"skipped here for size ({total} cells)"
-        counts = []
+    def within(limit):
+        if total > limit:
+            raise oracle.CellCapExceeded(n, p, q, total, limit)
+
+    def cubical_complex():
+        within(400_000)
+        counts = [0] * len(fv)
         for cell in grid.enumerate_cells(n, p, q):
             d = cell.dim
-            if d >= len(counts):
-                counts.extend([0] * (d + 1 - len(counts)))
+            assert d < len(counts), f"f-vector: a {d}-cell, but the f-vector is {fv}"
             counts[d] += 1
-        assert tuple(counts) == fv, f"enumeration gives {counts}, counting gives {fv}"
-
-    def cubical_d2():
-        assert total <= 400_000, f"skipped here for size ({total} cells)"
-        for cell in grid.enumerate_cells(n, p, q):
-            if cell.dim < 2:
+            if d < 2:
                 continue
             acc = {}
             for facet, s in grid.boundary(cell):
@@ -214,50 +200,42 @@ def _verify_checks(n, p, q, cfg, deep):
                 for f2, s2 in grid.boundary(facet):
                     acc[f2.pieces] = acc.get(f2.pieces, 0) + s * s2
             assert not any(acc.values()), f"d o d != 0 at {cell}"
+        assert tuple(counts) == fv, (
+            f"f-vector: enumeration gives {counts}, counting gives {fv}"
+        )
 
-    def apex_counts():
-        squares = grid.board_squares(p, q)
-        for combo in itertools.combinations(squares, n):
+    def apex_structure():
+        for combo in itertools.combinations(grid.board_squares(p, q), n):
             graph = ApexGraph(combo, board)
             cells = grid.cells_with_apex(combo, board)
             assert graph.independent_set_count() == len(cells), (
-                f"apex {combo}: {len(cells)} cells vs"
+                f"Fibonacci count: apex {combo} has {len(cells)} cells,"
                 f" {graph.independent_set_count()} independent sets"
             )
-
-    def pairing_properties():
-        squares = grid.board_squares(p, q)
-        for combo in itertools.combinations(squares, n):
             criticals = 0
-            for cell in grid.cells_with_apex(combo, board):
+            for cell in cells:
                 status, partner = morse.cell_status(cell)
                 if status == "critical":
                     criticals += 1
                     continue
-                assert grid.apex_of(partner) == grid.apex_of(cell), "pair changes apex"
-                assert abs(partner.dim - cell.dim) == 1, "pair dimensions"
-                back = morse.match_cell(partner)
-                assert back == cell, "pairing is not an involution"
+                assert grid.apex_of(partner) == combo, "pairing changes the apex"
+                assert abs(partner.dim - cell.dim) == 1, "pairing dimensions"
+                assert morse.match_cell(partner) == cell, "pairing is not an involution"
                 low, high = sorted((cell, partner), key=lambda a: a.dim)
                 assert any(f == low for f, _ in grid.boundary(high)), (
                     "paired cell is not a facet of its partner"
                 )
             assert criticals <= 1, f"apex {combo} has {criticals} critical cells"
-
-    def half_squares():
-        squares = grid.board_squares(p, q)
-        for combo in itertools.combinations(squares, n):
-            graph = ApexGraph(combo, board)
             alloc = graph.half_squares()
             seen = set()
             for path in graph.paths:
                 for pos, i in enumerate(path):
                     hs = alloc[graph.vertices[i]]
                     expected = 2 + (pos == 0) + (pos == len(path) - 1)
-                    assert len(hs) == expected, f"allocation size at {combo}"
-                    assert not (hs & seen), f"overlapping allocation at {combo}"
+                    assert len(hs) == expected, f"half-square count at {combo}"
+                    assert not (hs & seen), f"overlapping half-squares at {combo}"
                     seen |= hs
-            assert len(seen) <= 2 * p * q
+            assert len(seen) <= 2 * p * q, f"more half-squares than the board at {combo}"
 
     def morse_route():
         # the build raises AssertionError unless d o d = 0
@@ -267,7 +245,7 @@ def _verify_checks(n, p, q, cfg, deep):
         audit(n, p, q, bv, fv, morse_counts=mc.counts)
 
     def acyclicity():
-        assert total <= 100_000, f"skipped here for size ({total} cells)"
+        within(100_000)
         assert morse.verify_acyclic(n, p, q), "closed V-path found"
 
     def oracle_agreement():
@@ -277,11 +255,8 @@ def _verify_checks(n, p, q, cfg, deep):
         )
 
     checks = [
-        ("f-vector matches enumeration", enumeration_counts),
-        ("cubical boundary squares to zero", cubical_d2),
-        ("per-apex cell counts are Fibonacci products", apex_counts),
-        ("pairing properties", pairing_properties),
-        ("half-square allocations disjoint", half_squares),
+        ("cubical complex (f-vector, valid facets, d o d = 0)", cubical_complex),
+        ("apex structure (Fibonacci counts, pairing, half-squares)", apex_structure),
         ("morse complex checks (d2, euler, bounds)", morse_route),
     ]
     if deep:
@@ -291,16 +266,11 @@ def _verify_checks(n, p, q, cfg, deep):
 
 
 def cmd_verify(parser, args, cfg):
-    _check_instance(parser, args)
     failures = 0
     for name, check in _verify_checks(args.n, args.p, args.q, cfg, args.deep):
         try:
             check()
         except AssertionError as exc:  # AuditFailure is one too
-            text = str(exc)
-            if text.startswith("skipped"):
-                print(f"ok: {name} ({text})")
-                continue
             failures += 1
             print(f"FAIL: {name}: {exc}")
             continue
@@ -324,7 +294,7 @@ def build_parser():
 
     p_betti = sub.add_parser("betti", help="Betti numbers of one instance")
     _instance_args(p_betti)
-    p_betti.add_argument("--field", default="gf2", help="gf2, gf<p>, or rational")
+    p_betti.add_argument("--field", type=_field, default="gf2", help="gf2, gf<p>, or rational")
     p_betti.add_argument("--method", choices=("morse", "direct"), default="morse")
     _common(p_betti)
     p_betti.set_defaults(func=cmd_betti)
@@ -342,7 +312,7 @@ def build_parser():
 
     p_table = sub.add_parser("table", help="Betti table for all boards up to n")
     p_table.add_argument("--max-n", type=int, required=True)
-    p_table.add_argument("--field", default="gf2")
+    p_table.add_argument("--field", type=_field, default="gf2")
     p_table.add_argument("--out", help="CSV output path (default stdout)")
     _common(p_table)
     p_table.set_defaults(func=cmd_table)
@@ -363,8 +333,8 @@ def build_parser():
 
     p_ins = sub.add_parser("inspect", help="dump one apex graph as JSON")
     p_ins.add_argument("--corners", required=True, help='e.g. "1,2;2,1"')
-    p_ins.add_argument("--p", type=int, required=True)
-    p_ins.add_argument("--q", type=int, required=True)
+    p_ins.add_argument("--p", type=_at_least(1), required=True)
+    p_ins.add_argument("--q", type=_at_least(1), required=True)
     _common(p_ins)
     p_ins.set_defaults(func=cmd_inspect)
 

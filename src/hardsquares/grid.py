@@ -301,15 +301,13 @@ def sliding_puzzle_counts(p, q):
     return math.factorial(cells), edges * math.factorial(cells - 1)
 
 
+def cell_json(cell):
+    """JSON-ready form of one cell: {pieces: [[col, row, left, down], ...], dim}."""
+    pieces = [[pc.col, pc.row, pc.left, pc.down] for pc in cell.pieces]
+    return {"pieces": pieces, "dim": cell.dim}
+
+
 def cells_json(n, p, q):
     """JSON-ready dump of the complex: [{id, pieces, dim}, ...]."""
-    out = []
-    for i, cell in enumerate(enumerate_cells(n, p, q)):
-        out.append(
-            {
-                "id": i,
-                "pieces": [[pc.col, pc.row, pc.left, pc.down] for pc in cell.pieces],
-                "dim": cell.dim,
-            }
-        )
-    return out
+    cells = enumerate_cells(n, p, q)
+    return [{"id": i, **cell_json(cell)} for i, cell in enumerate(cells)]

@@ -231,18 +231,23 @@ class AuditFailure(AssertionError):
     "A computed homology result violates a structural bound."
 
 
+def vanishing_bound(n, p, q):
+    "Highest degree that may carry nonzero homology: min(p*q - n, n, p*q // 3)."
+    return min(p * q - n, n, (p * q) // 3)
+
+
 def audit(n, p, q, betti_vec, f_vec, morse_counts=None):
     """Check vanishing bounds, Euler consistency, and Morse inequalities.
 
-    Nonzero homology may only appear in degrees j with
-    j <= min(p*q - n, n, p*q/3); the alternating sums of the f-vector and
-    the Betti vector must agree; and each Morse count must dominate the
-    matching Betti number.  Violations raise AuditFailure.
+    Nonzero homology may only appear in degrees up to vanishing_bound; the
+    alternating sums of the f-vector and the Betti vector must agree; and
+    each Morse count must dominate the matching Betti number.  Violations
+    raise AuditFailure.
     """
     problems = []
-    bound = min(p * q - n, n)
+    bound = vanishing_bound(n, p, q)
     for j, b in enumerate(betti_vec):
-        if b and (j > bound or 3 * j > p * q):
+        if b and j > bound:
             problems.append(f"beta_{j} = {b} but degree {j} must vanish")
     if euler(f_vec) != euler(betti_vec):
         problems.append(
@@ -260,6 +265,6 @@ def audit(n, p, q, betti_vec, f_vec, morse_counts=None):
         "betti": tuple(betti_vec),
         "f_vector": tuple(f_vec),
         "euler": euler(f_vec),
-        "vanishing_bound": min(bound, (p * q) // 3),
+        "vanishing_bound": bound,
         "morse_counts": tuple(morse_counts) if morse_counts is not None else None,
     }

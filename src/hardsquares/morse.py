@@ -342,8 +342,8 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     slot[k] is the position of target piece k's corner in T.  Signs are
     transported through the coordinate-order permutation.  d o d = 0 is
     checked here, once; restrictions are subcomplexes and need no check.
-    Over the cap of labeled critical cells, CellCapExceeded is raised
-    before any flow runs or any cell is made.
+    Over cap, an integer count of labeled critical cells, CellCapExceeded
+    is raised before any flow runs or any cell is made.
     """
     from .parallel import pmap
 

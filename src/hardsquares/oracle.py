@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import grid
-from .homology import ChainComplex, betti_of_stream
+from .homology import ChainComplex, betti_of_stream, vanishing_bound
 
 DEFAULT_CELL_CAP = 2_000_000
 
@@ -65,10 +65,10 @@ def _triple_stream(n, p, q, counts):
 
 
 def check_cap(n, p, q, cap=DEFAULT_CELL_CAP):
-    "f-vector and total size, raising CellCapExceeded over the cap."
+    "f-vector and total size, raising CellCapExceeded over the integer cap."
     fv = grid.f_vector(n, p, q)
     total = sum(fv)
-    if cap is not None and total > cap:
+    if total > cap:
         raise CellCapExceeded(n, p, q, total, cap)
     return fv, total
 
@@ -136,7 +136,7 @@ def nonvanishing_witness_check(rows):
     rows maps (n, p, q) to a computed Betti vector.  The orbit cycles in
     the 2x2 board with 2 and 3 squares must be present, and every nonzero
     Betti number, read as a point (x, y) = (n/pq, j/pq), must satisfy
-    y <= min(1 - x, x, 1/3).
+    y <= min(1 - x, x, 1/3), that is j <= homology.vanishing_bound(n, p, q).
     """
     report = {"witnesses": [], "points": [], "violations": []}
     for inst in ((2, 2, 2), (3, 2, 2)):
@@ -151,7 +151,6 @@ def nonvanishing_witness_check(rows):
             report["violations"].append(
                 f"expected nonzero degree-1 homology for {inst}"
             )
-    third = Fraction(1, 3)
     for (n, p, q), bv in sorted(rows.items()):
         area = p * q
         for j, b in enumerate(bv):
@@ -159,7 +158,7 @@ def nonvanishing_witness_check(rows):
                 continue
             x = Fraction(n, area)
             y = Fraction(j, area)
-            inside = y <= min(1 - x, x, third)
+            inside = j <= vanishing_bound(n, p, q)
             report["points"].append(
                 {
                     "instance": [n, p, q],

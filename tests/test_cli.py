@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 
 import pytest
 
@@ -52,15 +53,28 @@ def test_betti_field_flag(capsys):
     assert err.value.code == 2
 
 
-def test_betti_invalid_args_exit_2(capsys):
-    for argv in (
-        ["betti", "--n", "-1", "--p", "2", "--q", "2"],
-        ["betti", "--n", "2", "--p", "0", "--q", "2"],
-    ):
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
-        capsys.readouterr()
+def test_invalid_args_exit_2(capsys):
+    instance = ["--n", "2", "--p", "2", "--q", "2"]
+    commands = {
+        "betti": instance,
+        "fvector": instance,
+        "critical": instance,
+        "export": instance + ["--format", "vertex-list"],
+        "verify": instance,
+        "inspect": ["--corners", "1,2;2,1", "--p", "2", "--q", "2"],
+        "table": ["--max-n", "2"],
+    }
+    bad = {"--n": "-1", "--p": "0", "--q": "0", "--field": "gf6"}
+    for command, argv in commands.items():
+        flags = [flag for flag in bad if flag in argv]
+        if command in ("betti", "table"):
+            flags.append("--field")
+        for flag in flags:
+            # the repeated flag is the one argparse keeps
+            with pytest.raises(SystemExit) as err:
+                cli.main([command] + argv + [flag, bad[flag]])
+            assert err.value.code == 2, (command, flag)
+            capsys.readouterr()
 
 
 def test_betti_direct_cap_exit_3(capsys):
@@ -246,6 +260,51 @@ def test_verify_reports_failure(capsys, monkeypatch):
         " direct route gives (1, 2), morse route gives (1, 1)"
     ]
 
+    def broken_build(*args, **kwargs):
+        raise AssertionError("d o d != 0")
+
+    monkeypatch.setattr(morse, "build_morse_complex", broken_build)
+    code, out, _ = run(capsys, "verify", "--n", "2", "--p", "2", "--q", "2", "--deep")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL:")] == [
+        "FAIL: morse complex checks (d2, euler, bounds): d o d != 0",
+        "FAIL: direct homology agrees with morse route:"
+        " direct route gives (1, 2), morse route gives None",
+    ]
+
+
+def test_verify_walks_each_structure_once(capsys, monkeypatch):
+    calls = {"enumerate_cells": 0, "cells_with_apex": 0}
+    enumerate_cells, cells_with_apex = grid.enumerate_cells, grid.cells_with_apex
+
+    def counted_enumeration(*args):
+        calls["enumerate_cells"] += 1
+        return enumerate_cells(*args)
+
+    def counted_apex_cells(*args):
+        # the enumeration calls it once per labeled apex; count verify's calls
+        if sys._getframe(1).f_globals["__name__"] == cli.__name__:
+            calls["cells_with_apex"] += 1
+        return cells_with_apex(*args)
+
+    monkeypatch.setattr(grid, "enumerate_cells", counted_enumeration)
+    monkeypatch.setattr(grid, "cells_with_apex", counted_apex_cells)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--p", "3", "--q", "3")
+    assert code == 0 and len(out.splitlines()) == 3
+    # one per corner set: C(9, 3) = 84
+    assert calls == {"enumerate_cells": 1, "cells_with_apex": 84}
+
+
+def test_verify_size_skip_is_a_cap_refusal(capsys):
+    # (6,3,3) has 443,520 cells, over the 400,000 of the cubical checks
+    code, out, _ = run(capsys, "verify", "--n", "6", "--p", "3", "--q", "3")
+    assert code == 0
+    skipped = [line for line in out.splitlines() if "skipped" in line]
+    assert len(skipped) == 1 and skipped[0].startswith("ok: cubical complex")
+    assert skipped[0].endswith(
+        "(skipped, complex for n=6, p=3, q=3 has 443520 cells, over the cap of 400000)"
+    )
+
 
 def test_inspect_command(capsys):
     code, out, _ = run(
@@ -295,6 +354,7 @@ def test_bad_threads_exit_2(capsys, monkeypatch):
         with pytest.raises(SystemExit) as err:
             cli.main(argv + extra)
         assert err.value.code == 2
+    assert "argument --threads: must be at least 1, got -2" in capsys.readouterr().err
     for value in ("abc", "2.5"):
         monkeypatch.setenv("HARDSQ_THREADS", value)
         with pytest.raises(SystemExit) as err:

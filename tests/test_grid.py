@@ -243,4 +243,5 @@ def test_cells_json():
     cells = grid.cells_json(1, 2, 2)
     assert [c["id"] for c in cells] == list(range(9))
     assert cells[0]["pieces"] == [[1, 1, 0, 0]]
+    assert list(cells[0]) == ["id", "pieces", "dim"]
     assert sum(1 for c in cells if c["dim"] == 2) == 1

@@ -170,7 +170,7 @@ def test_euler_and_trim():
 
 def test_audit_passes_and_fails():
     report = audit(2, 2, 2, (1, 1), (12, 16, 4), morse_counts=(4, 4))
-    assert report["euler"] == 0
+    assert report["euler"] == 0 and report["vanishing_bound"] == 1
     with pytest.raises(AuditFailure):
         audit(2, 2, 2, (1, 2), (12, 16, 4))  # euler broken
     with pytest.raises(AuditFailure):

@@ -130,6 +130,21 @@ def test_critical_counts():
     assert morse.critical_counts(7, 2, 3) == ()
 
 
+def test_critical_sets_match_decoded_cells():
+    # critical_sets finds dimensions by path lengths mod 3; decode each cell
+    instances = [
+        (n, p, q) for q in range(1, 5) for p in range(1, q + 1) for n in range(p * q + 1)
+    ]
+    for n, p, q in instances + [(5, 5, 5)]:
+        board = (p, q)
+        expected = []
+        for combo in itertools.combinations(grid.board_squares(p, q), n):
+            cell = morse.critical_cell_for(combo, board)
+            if cell is not None:
+                expected.append((combo, cell.dim))
+        assert list(morse.critical_sets(n, p, q)) == expected, (n, p, q)
+
+
 def test_critical_cells_have_no_2x2_and_no_isolated_vertex():
     for n, p, q in [(2, 3, 3), (3, 3, 3), (4, 4, 4), (5, 5, 5)]:
         area = p * q
