@@ -35,12 +35,50 @@ class ApexVertex(NamedTuple):
         return (self.col2 / 2, self.row2 / 2)
 
 
+def diagonal_paths(corners, cs):
+    """The paths of the option graph on one anti-diagonal c + r = d.
+
+    corners are the occupied squares of that diagonal in column order, and
+    cs holds every occupied square of diagonals d - 2 .. d (more does no
+    harm).  Nothing else matters: an option needs the square one left or
+    one down free (diagonal d - 1), and a path breaks on the squares up-left
+    (c - 1, r + 1) and down-left (c - 1, r - 1), on diagonals d and d - 2.
+    Returns a list of paths, each a tuple of ((col, row), axis) slots.
+    """
+    paths = []
+    run = []
+    for c, r in corners:
+        has_v = c > 1 and (c - 1, r) not in cs
+        has_h = r > 1 and (c, r - 1) not in cs
+        if has_v:
+            # linked to the height option of the piece up-left of it
+            if run and (c - 1, r + 1) not in cs:
+                paths.append(tuple(run))
+                run = []
+            run.append(((c, r), 0))
+        if has_h:
+            # linked to the width option of the same piece when the
+            # square diagonally down-left is occupied
+            if run and not (has_v and (c - 1, r - 1) in cs):
+                paths.append(tuple(run))
+                run = []
+            run.append(((c, r), 1))
+        if not has_v and not has_h and run:
+            paths.append(tuple(run))
+            run = []
+    if run:
+        paths.append(tuple(run))
+    return paths
+
+
 def path_structure(corners):
     """Decompose the option graph of a corner set into ordered paths.
 
     Returns a tuple of paths; each path is a tuple of ((col, row), axis)
     option slots in global order (ascending coordinate sum, then column).
-    Only the set of corners matters, not their labels.
+    Every path lies on one anti-diagonal, so this is diagonal_paths of each
+    occupied diagonal in turn.  Only the set of corners matters, not their
+    labels.
     """
     cs = set(corners)
     by_diag = {}
@@ -48,28 +86,7 @@ def path_structure(corners):
         by_diag.setdefault(c + r, []).append((c, r))
     paths = []
     for d in sorted(by_diag):
-        run = []
-        for c, r in sorted(by_diag[d]):
-            has_v = c > 1 and (c - 1, r) not in cs
-            has_h = r > 1 and (c, r - 1) not in cs
-            if has_v:
-                # linked to the height option of the piece up-left of it
-                if run and (c - 1, r + 1) not in cs:
-                    paths.append(tuple(run))
-                    run = []
-                run.append(((c, r), 0))
-            if has_h:
-                # linked to the width option of the same piece when the
-                # square diagonally down-left is occupied
-                if run and not (has_v and (c - 1, r - 1) in cs):
-                    paths.append(tuple(run))
-                    run = []
-                run.append(((c, r), 1))
-            if not has_v and not has_h and run:
-                paths.append(tuple(run))
-                run = []
-        if run:
-            paths.append(tuple(run))
+        paths += diagonal_paths(sorted(by_diag[d]), cs)
     return tuple(paths)
 
 

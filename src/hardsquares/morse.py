@@ -23,7 +23,7 @@ import math
 from functools import lru_cache
 
 from . import grid
-from .apexgraph import ApexGraph, cached_structure
+from .apexgraph import ApexGraph, cached_structure, diagonal_paths
 from .grid import Arrangement, Piece, boundary, relabel, relabel_sign
 from .homology import ChainComplex, betti, validate_d2
 from .oracle import DEFAULT_CELL_CAP, CellCapExceeded
@@ -124,16 +124,52 @@ def critical_cell_for(apex, board):
     return None if None in bits else graph.decode(bits)
 
 
+def _diagonal_search(n, p, q):
+    """Sorted n-sets of board squares whose paths all have 0 or 2 mod 3 vertices.
+
+    Depth-first over the anti-diagonals c + r = d, choosing a subset of
+    each diagonal's squares in turn.  The paths of diagonal d depend only
+    on diagonals d - 2 .. d (apexgraph.diagonal_paths), so a partial set is
+    dropped as soon as the diagonal just filled has a path of 1 mod 3
+    vertices, and a branch stops when fewer squares remain than pieces to
+    place.
+    """
+    diagonals = [
+        [(c, d - c) for c in range(max(1, d - q), min(p, d - 1) + 1)]
+        for d in range(2, p + q + 1)
+    ]
+    # room[i]: the squares of diagonals i and later
+    room = [sum(map(len, diagonals[i:])) for i in range(len(diagonals) + 1)]
+    occupied = set()
+    found = []
+
+    def fill(i, left):
+        if left == 0:
+            found.append(tuple(sorted(occupied)))
+            return
+        if room[i] < left:
+            return
+        for k in range(min(left, len(diagonals[i])) + 1):
+            for chosen in itertools.combinations(diagonals[i], k):
+                occupied.update(chosen)
+                if all(len(path) % 3 != 1 for path in diagonal_paths(chosen, occupied)):
+                    fill(i + 1, left - k)
+                occupied.difference_update(chosen)
+
+    fill(0, n)
+    found.sort()
+    return found
+
+
 def critical_sets(n, p, q):
     """Unordered critical apexes in lexicographic order.
 
     Yields (corners, dim) with corners a sorted tuple of board squares.
+    The candidates come from a search over the anti-diagonals that prunes
+    every set with a path of 1 mod 3 vertices (_diagonal_search); the
+    dimension is read off the cached path structure of each.
     """
-    if n == 0:
-        yield ((), 0)
-        return
-    squares = grid.board_squares(p, q)
-    for combo in itertools.combinations(squares, n):
+    for combo in _diagonal_search(n, p, q):
         paths = cached_structure(combo)
         dim = 0
         for path in paths:
@@ -149,8 +185,6 @@ def critical_sets(n, p, q):
 
 def critical_counts(n, p, q):
     "Number of labeled critical cells by dimension."
-    if n > p * q:
-        return ()
     counts = []
     for _, dim in critical_sets(n, p, q):
         if dim >= len(counts):
@@ -348,7 +382,7 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     from .parallel import pmap
 
     board = (p, q)
-    sets = list(critical_sets(n, p, q)) if n <= p * q else []
+    sets = list(critical_sets(n, p, q))
     total = len(sets) * math.factorial(n)
     if total > cap:
         raise CellCapExceeded(n, p, q, total, cap)

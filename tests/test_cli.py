@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 import sys
 
 import pytest
@@ -98,6 +99,27 @@ def test_betti_morse_cap_exit_3(capsys, monkeypatch):
     )
     assert code == 3 and out == ""
     assert "has 84 cells, over the cap of 83" in err
+
+
+def test_betti_morse_cap_refuses_promptly(capsys, monkeypatch):
+    # C(49, 7) is about 86M corner sets; the refusal must not test them all
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a build over the cap must stop before any flow")
+
+    def hung(signum, frame):
+        raise TimeoutError("the cap refusal still runs after 10 s")
+
+    monkeypatch.setattr(parallel, "pmap", no_pool)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        code, out, err = run(capsys, "betti", "--n", "7", "--p", "7", "--q", "7")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # 1,748 critical corner sets times 7! labelings
+    assert code == 3 and out == ""
+    assert "has 8809920 cells, over the cap of 2000000" in err
 
 
 def test_broken_pairing_exit_1(capsys, monkeypatch):

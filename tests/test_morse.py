@@ -128,14 +128,17 @@ def test_critical_counts():
     assert morse.critical_counts(2, 2, 2) == (4, 4)
     assert morse.critical_counts(1, 1, 1) == (1,)
     assert morse.critical_counts(7, 2, 3) == ()
+    assert morse.critical_counts(0, 3, 2) == (1,)
 
 
 def test_critical_sets_match_decoded_cells():
-    # critical_sets finds dimensions by path lengths mod 3; decode each cell
+    # critical_sets finds candidates by a search over the anti-diagonals
+    # and dimensions by path lengths mod 3; decode each cell of every set.
+    # The diagonal order is not symmetric in c and r, so p > q boards too.
     instances = [
-        (n, p, q) for q in range(1, 5) for p in range(1, q + 1) for n in range(p * q + 1)
+        (n, p, q) for q in range(1, 5) for p in range(1, 5) for n in range(p * q + 1)
     ]
-    for n, p, q in instances + [(5, 5, 5)]:
+    for n, p, q in instances + [(5, 5, 5), (6, 4, 4)]:
         board = (p, q)
         expected = []
         for combo in itertools.combinations(grid.board_squares(p, q), n):
@@ -143,6 +146,47 @@ def test_critical_sets_match_decoded_cells():
             if cell is not None:
                 expected.append((combo, cell.dim))
         assert list(morse.critical_sets(n, p, q)) == expected, (n, p, q)
+
+
+def test_critical_set_counts_on_n6_boards():
+    for (n, p, q), count in {(6, 5, 5): 406, (6, 5, 6): 467, (6, 6, 6): 530}.items():
+        corners = [c for c, _ in morse.critical_sets(n, p, q)]
+        assert len(corners) == count, (n, p, q)
+        assert all(a < b for a, b in zip(corners, corners[1:])), (n, p, q)
+
+
+def test_critical_sets_look_up_only_survivors(monkeypatch):
+    # the search prunes every non-critical set before its path structure is
+    # looked up: one lookup per critical set, not one per C(25, 5) set
+    real = morse.cached_structure
+    calls = []
+
+    def counted(corners):
+        calls.append(corners)
+        return real(corners)
+
+    monkeypatch.setattr(morse, "cached_structure", counted)
+    assert len(list(morse.critical_sets(5, 5, 5))) == 158
+    assert len(calls) == 158
+
+
+def test_transposed_boards_agree():
+    # transposing the board swaps left and down, so (n, p, q) and (n, q, p)
+    # have isomorphic complexes, though the pairing treats them differently
+    def euler(counts):
+        return sum((-1) ** j * x for j, x in enumerate(counts))
+
+    for q in range(2, 5):
+        for p in range(1, q):
+            for n in range(min(4, p * q) + 1):
+                fv = grid.f_vector(n, p, q)
+                assert grid.f_vector(n, q, p) == fv, (n, p, q)
+                for a, b in [(p, q), (q, p)]:
+                    assert euler(morse.critical_counts(n, a, b)) == euler(fv), (n, a, b)
+                assert (
+                    morse.build_morse_complex(n, p, q).betti("gf2")
+                    == morse.build_morse_complex(n, q, p).betti("gf2")
+                ), (n, p, q)
 
 
 def test_critical_cells_have_no_2x2_and_no_isolated_vertex():
