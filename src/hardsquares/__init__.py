@@ -2,10 +2,10 @@
 
 from .apexgraph import ApexGraph, ApexVertex
 from .grid import (
-    Arrangement,
     Piece,
     apex_of,
     boundary,
+    cell_dim,
     enumerate_cells,
     f_vector,
     is_valid_cell,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .grid import Arrangement, Piece, apex_of
+from .grid import Piece, apex_of
 
 
 class ApexVertex(NamedTuple):
@@ -140,7 +140,6 @@ class ApexGraph:
             if not (1 <= c <= p and 1 <= r <= q):
                 raise ValueError(f"corner {(c, r)} off the {p}x{q} board")
         self.apex = apex
-        self.board = board
         self._owner = {corner: k for k, corner in enumerate(apex)}
         slot_paths = cached_structure(tuple(sorted(apex)))
 
@@ -162,9 +161,6 @@ class ApexGraph:
             (path[i], path[i + 1]) for path in self.paths for i in range(len(path) - 1)
         )
 
-    def path_lengths(self):
-        return [len(path) for path in self.paths]
-
     def independent_set_count(self):
         "Product of Fibonacci counts over the paths."
         count = 1
@@ -172,16 +168,16 @@ class ApexGraph:
             count *= fibonacci(len(path) + 2)
         return count
 
-    def encode(self, arr):
+    def encode(self, cell):
         """Bit strings, one per path, recording which options a cell takes."""
-        if apex_of(arr) != self.apex:
-            raise ValueError("arrangement does not have this apex")
+        if apex_of(cell) != self.apex:
+            raise ValueError("cell does not have this apex")
         bits = []
         for path in self.paths:
             s = []
             for i in path:
                 v = self.vertices[i]
-                pc = arr.pieces[v.owner]
+                pc = cell[v.owner]
                 s.append("1" if (pc.left if v.axis == 0 else pc.down) else "0")
             bits.append("".join(s))
         return tuple(bits)
@@ -204,10 +200,9 @@ class ApexGraph:
                         left[v.owner] = 1
                     else:
                         down[v.owner] = 1
-        pieces = tuple(
+        return tuple(
             Piece(c, r, left[k], down[k]) for k, (c, r) in enumerate(self.apex)
         )
-        return Arrangement(pieces, self.board)
 
     def iter_cells(self):
         "All cells with this apex, in lexicographic bit-pattern order."

@@ -4,7 +4,8 @@ Subcommands compute Betti vectors (betti), f-vectors (fvector), critical
 cell counts (critical), the reference table of Betti numbers (table),
 plain-text and JSON exports (export), invariant checking (verify), and an
 apex-graph dump (inspect).  argparse checks every argument once: --n is
-at least 0, --p, --q and --threads at least 1, --field is a parse_field name.
+at least 0, --p, --q and --threads at least 1, --field is a parse_field name
+and --corners a list of col,row integer pairs.
 
 Exit codes: 0 success, 2 invalid arguments (an argparse error naming the
 flag, a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, a
@@ -59,6 +60,17 @@ def _field(spec):
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return spec
+
+
+def _corners(text):
+    "argparse type: semicolon-separated col,row integer pairs, as a tuple."
+    try:
+        corners = tuple(tuple(map(int, part.split(","))) for part in text.split(";"))
+    except ValueError:
+        corners = ()
+    if not corners or any(len(corner) != 2 for corner in corners):
+        raise argparse.ArgumentTypeError(f"not col,row integer pairs: {text!r}")
+    return corners
 
 
 def _common(parser):
@@ -162,11 +174,7 @@ def cmd_export(parser, args, cfg):
 
 def cmd_inspect(parser, args, cfg):
     try:
-        corners = []
-        for part in args.corners.split(";"):
-            c, r = part.split(",")
-            corners.append((int(c), int(r)))
-        graph = ApexGraph(tuple(corners), (args.p, args.q))
+        graph = ApexGraph(args.corners, (args.p, args.q))
     except ValueError as exc:
         parser.error(str(exc))
     print(json.dumps(graph.to_json()))
@@ -189,7 +197,7 @@ def _verify_checks(n, p, q, cfg, deep):
         within(400_000)
         counts = [0] * len(fv)
         for cell in grid.enumerate_cells(n, p, q):
-            d = cell.dim
+            d = grid.cell_dim(cell)
             assert d < len(counts), f"f-vector: a {d}-cell, but the f-vector is {fv}"
             counts[d] += 1
             if d < 2:
@@ -198,7 +206,7 @@ def _verify_checks(n, p, q, cfg, deep):
             for facet, s in grid.boundary(cell):
                 assert grid.is_valid_cell(facet), f"invalid facet of {cell}"
                 for f2, s2 in grid.boundary(facet):
-                    acc[f2.pieces] = acc.get(f2.pieces, 0) + s * s2
+                    acc[f2] = acc.get(f2, 0) + s * s2
             assert not any(acc.values()), f"d o d != 0 at {cell}"
         assert tuple(counts) == fv, (
             f"f-vector: enumeration gives {counts}, counting gives {fv}"
@@ -207,7 +215,7 @@ def _verify_checks(n, p, q, cfg, deep):
     def apex_structure():
         for combo in itertools.combinations(grid.board_squares(p, q), n):
             graph = ApexGraph(combo, board)
-            cells = grid.cells_with_apex(combo, board)
+            cells = grid.cells_with_apex(combo)
             assert graph.independent_set_count() == len(cells), (
                 f"Fibonacci count: apex {combo} has {len(cells)} cells,"
                 f" {graph.independent_set_count()} independent sets"
@@ -219,9 +227,10 @@ def _verify_checks(n, p, q, cfg, deep):
                     criticals += 1
                     continue
                 assert grid.apex_of(partner) == combo, "pairing changes the apex"
-                assert abs(partner.dim - cell.dim) == 1, "pairing dimensions"
+                step = grid.cell_dim(partner) - grid.cell_dim(cell)
+                assert abs(step) == 1, "pairing dimensions"
                 assert morse.match_cell(partner) == cell, "pairing is not an involution"
-                low, high = sorted((cell, partner), key=lambda a: a.dim)
+                low, high = sorted((cell, partner), key=grid.cell_dim)
                 assert any(f == low for f, _ in grid.boundary(high)), (
                     "paired cell is not a facet of its partner"
                 )
@@ -332,7 +341,7 @@ def build_parser():
     p_ver.set_defaults(func=cmd_verify)
 
     p_ins = sub.add_parser("inspect", help="dump one apex graph as JSON")
-    p_ins.add_argument("--corners", required=True, help='e.g. "1,2;2,1"')
+    p_ins.add_argument("--corners", type=_corners, required=True, help='e.g. "1,2;2,1"')
     p_ins.add_argument("--p", type=_at_least(1), required=True)
     p_ins.add_argument("--q", type=_at_least(1), required=True)
     _common(p_ins)

@@ -2,9 +2,11 @@
 
 A configuration of n labeled unit squares snaps onto a cell of a cubical
 complex: each square touches a rectangle of 1, 2, or 4 board squares, and
-the cell is recorded as an ordered list of such rectangles ("pieces").
-The cell belongs to the hard-squares complex exactly when no two pieces
-share a board square.
+the cell is the plain tuple of such rectangles (Piece), the index of a
+piece being the label of the square it stands for.  The board belongs to
+the complex, not to the cell.  The cell belongs to the hard-squares
+complex exactly when no two pieces share a board square; its dimension
+(cell_dim) is the total number of extensions.
 
 This module provides the cell encoding, membership predicates, the signed
 cubical boundary, deterministic apex-major enumeration, and f-vectors.
@@ -40,19 +42,9 @@ class Piece(NamedTuple):
         ]
 
 
-class Arrangement(NamedTuple):
-    """An ordered list of n pieces on a p x q board: one cubical cell.
-
-    The index of a piece in the list is the label of the square it stands
-    for.  The dimension of the cell is the total number of extensions.
-    """
-
-    pieces: tuple
-    board: tuple
-
-    @property
-    def dim(self):
-        return sum(pc.left + pc.down for pc in self.pieces)
+def cell_dim(cell):
+    "Dimension of a cell: the total number of extensions of its pieces."
+    return sum(pc.left + pc.down for pc in cell)
 
 
 def snap(x):
@@ -65,12 +57,12 @@ def snap(x):
     return f if x == f else f + 0.5
 
 
-def check_arrangement(arr):
-    """Raise ValueError unless every piece lies on the board."""
-    p, q = arr.board
+def check_arrangement(cell, board):
+    """Raise ValueError unless every piece lies on the p x q board."""
+    p, q = board
     if p < 1 or q < 1:
         raise ValueError("board sides must be at least 1")
-    for pc in arr.pieces:
+    for pc in cell:
         if not (1 <= pc.col <= p and 1 <= pc.row <= q):
             raise ValueError(f"piece corner {pc.col, pc.row} off the {p}x{q} board")
         if pc.left not in (0, 1) or pc.down not in (0, 1):
@@ -89,25 +81,24 @@ def pieces_overlap(a, b):
     )
 
 
-def is_valid_cell(arr):
+def is_valid_cell(cell):
     """Whether no two pieces overlap, i.e. the cell is a hard-squares cell."""
-    pieces = arr.pieces
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if pieces_overlap(pieces[i], pieces[j]):
+    for i in range(len(cell)):
+        for j in range(i + 1, len(cell)):
+            if pieces_overlap(cell[i], cell[j]):
                 return False
     return True
 
 
-def apex_of(arr):
+def apex_of(cell):
     """The ordered tuple of upper-right corner squares, one per piece.
 
     On a 0-cell this is the identity viewed as a list of board squares.
     """
-    return tuple((pc.col, pc.row) for pc in arr.pieces)
+    return tuple((pc.col, pc.row) for pc in cell)
 
 
-def boundary(arr):
+def boundary(cell):
     """Signed facets of a cell.
 
     Each facet collapses one extension of one piece to an endpoint: the
@@ -116,48 +107,45 @@ def boundary(arr):
     x1,y1,x2,y2,...; the two endpoints of one coordinate get opposite signs.
     """
     out = []
-    pieces = arr.pieces
-    board = arr.board
     t = 0
-    for k, pc in enumerate(pieces):
-        head, tail = pieces[:k], pieces[k + 1 :]
+    for k, pc in enumerate(cell):
+        head, tail = cell[:k], cell[k + 1 :]
         if pc.left:
             sign = -1 if t & 1 else 1
             upper = Piece(pc.col, pc.row, 0, pc.down)
             lower = Piece(pc.col - 1, pc.row, 0, pc.down)
-            out.append((Arrangement(head + (upper,) + tail, board), sign))
-            out.append((Arrangement(head + (lower,) + tail, board), -sign))
+            out.append((head + (upper,) + tail, sign))
+            out.append((head + (lower,) + tail, -sign))
             t += 1
         if pc.down:
             sign = -1 if t & 1 else 1
             upper = Piece(pc.col, pc.row, pc.left, 0)
             lower = Piece(pc.col, pc.row - 1, pc.left, 0)
-            out.append((Arrangement(head + (upper,) + tail, board), sign))
-            out.append((Arrangement(head + (lower,) + tail, board), -sign))
+            out.append((head + (upper,) + tail, sign))
+            out.append((head + (lower,) + tail, -sign))
             t += 1
     return out
 
 
-def cell_vertices(arr):
-    """All 0-faces of the closed cell, as arrangements of 1x1 pieces.
+def cell_vertices(cell):
+    """All 0-faces of the closed cell, as cells of 1x1 pieces.
 
     Works for any ambient cell; no disjointness is assumed.
     """
     options = []
-    for pc in arr.pieces:
+    for pc in cell:
         cols = (pc.col - 1, pc.col) if pc.left else (pc.col,)
         rows = (pc.row - 1, pc.row) if pc.down else (pc.row,)
         options.append([Piece(c, r, 0, 0) for c in cols for r in rows])
-    for combo in itertools.product(*options):
-        yield Arrangement(tuple(combo), arr.board)
+    return itertools.product(*options)
 
 
-def relabel(arr, perm):
+def relabel(cell, perm):
     """Reorder the pieces: new piece k is old piece perm[k]."""
-    return Arrangement(tuple(arr.pieces[j] for j in perm), arr.board)
+    return tuple(cell[j] for j in perm)
 
 
-def relabel_sign(arr, perm):
+def relabel_sign(cell, perm):
     """Orientation sign relating a cell's boundary to its relabeling's.
 
     The boundary signs follow the position of each free coordinate in the
@@ -166,8 +154,7 @@ def relabel_sign(arr, perm):
     whose order flips add e_j * e_l inversions, e the number of extensions,
     so the parity is that of perm restricted to the pieces with odd e.
     """
-    pieces = arr.pieces
-    odd = [j for j in perm if (pieces[j].left + pieces[j].down) & 1]
+    odd = [j for j in perm if (cell[j].left + cell[j].down) & 1]
     inversions = sum(b < a for i, a in enumerate(odd) for b in odd[i + 1 :])
     return -1 if inversions & 1 else 1
 
@@ -185,7 +172,7 @@ def enumerate_apexes(n, p, q):
 _EXTENSIONS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def cells_with_apex(apex, board):
+def cells_with_apex(apex):
     """All cells whose apex is the given labeled corner tuple.
 
     Backtracks over per-piece extension choices, pruning overlaps; order is
@@ -197,7 +184,7 @@ def cells_with_apex(apex, board):
 
     def place(k):
         if k == n:
-            out.append(Arrangement(tuple(chosen), board))
+            out.append(tuple(chosen))
             return
         c, r = apex[k]
         for left, down in _EXTENSIONS:
@@ -221,12 +208,12 @@ def enumerate_cells(n, p, q):
     corner lists.  Empty stream when n > p*q.
     """
     if n == 0:
-        yield Arrangement((), (p, q))
+        yield ()
         return
     if n > p * q:
         return
     for apex in enumerate_apexes(n, p, q):
-        yield from cells_with_apex(apex, (p, q))
+        yield from cells_with_apex(apex)
 
 
 @lru_cache(maxsize=None)
@@ -303,8 +290,8 @@ def sliding_puzzle_counts(p, q):
 
 def cell_json(cell):
     """JSON-ready form of one cell: {pieces: [[col, row, left, down], ...], dim}."""
-    pieces = [[pc.col, pc.row, pc.left, pc.down] for pc in cell.pieces]
-    return {"pieces": pieces, "dim": cell.dim}
+    pieces = [[pc.col, pc.row, pc.left, pc.down] for pc in cell]
+    return {"pieces": pieces, "dim": cell_dim(cell)}
 
 
 def cells_json(n, p, q):

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import grid
 from .apexgraph import ApexGraph, cached_structure, diagonal_paths
-from .grid import Arrangement, Piece, boundary, relabel, relabel_sign
+from .grid import Piece, boundary, cell_dim, relabel, relabel_sign
 from .homology import ChainComplex, betti, validate_d2
 from .oracle import DEFAULT_CELL_CAP, CellCapExceeded
 
@@ -73,43 +73,42 @@ def match_string(s):
     return s[:i] + ("1" if s[i] == "0" else "0") + s[i + 1 :]
 
 
-def match_cell(arr):
-    """Partner cell of arr under the gradient pairing, or None if critical.
+def match_cell(cell):
+    """Partner cell of a cell under the gradient pairing, or None if critical.
 
     The first path (in canonical order) whose string is matched gets the
     flipped bit of match_string; every other option is kept.  Label-blind,
     so the pairing commutes with relabeling.
     """
-    pieces = arr.pieces
-    owner = {(pc.col, pc.row): k for k, pc in enumerate(pieces)}
+    owner = {(pc.col, pc.row): k for k, pc in enumerate(cell)}
     for path in cached_structure(tuple(sorted(owner))):
         bits = []
         for corner, axis in path:
-            pc = pieces[owner[corner]]
+            pc = cell[owner[corner]]
             bits.append("1" if (pc.left if axis == 0 else pc.down) else "0")
         i = _flip_index("".join(bits))
         if i is None:
             continue
         (c, r), axis = path[i]
         k = owner[(c, r)]
-        pc = pieces[k]
+        pc = cell[k]
         if axis == 0:
             new = Piece(c, r, 1 - pc.left, pc.down)
         else:
             new = Piece(c, r, pc.left, 1 - pc.down)
-        return Arrangement(pieces[:k] + (new,) + pieces[k + 1 :], arr.board)
+        return cell[:k] + (new,) + cell[k + 1 :]
     return None
 
 
-def cell_status(arr):
+def cell_status(cell):
     """("critical", None), ("up", partner) or ("down", partner).
 
     "up" means the partner is the cofacet (one dimension higher).
     """
-    partner = match_cell(arr)
+    partner = match_cell(cell)
     if partner is None:
         return ("critical", None)
-    return ("up" if partner.dim > arr.dim else "down", partner)
+    return ("up" if cell_dim(partner) > cell_dim(cell) else "down", partner)
 
 
 def critical_cell_for(apex, board):
@@ -228,55 +227,51 @@ def _flow_chain(start, memo):
     partner's boundary for its return visit.  A pending facet that is open
     too closes a V-path.
     """
-    key = start.pieces
-    if key in memo:
-        return memo[key]
-    open_cells = {}  # pieces -> (facets of the partner, lam)
+    if start in memo:
+        return memo[start]
+    open_cells = {}  # cell -> (facets of the partner, lam)
     stack = [start]
     while stack:
         cell = stack[-1]
-        ck = cell.pieces
-        if ck in memo:
+        if cell in memo:
             stack.pop()
             continue
-        if ck in open_cells:
-            facets, lam = open_cells.pop(ck)
+        if cell in open_cells:
+            facets, lam = open_cells.pop(cell)
             acc = {}
             for f, s in facets:
-                if f.pieces == ck:
+                if f == cell:
                     continue
                 coef = -s * lam
-                for t, v in memo[f.pieces].items():
+                for t, v in memo[f].items():
                     acc[t] = acc.get(t, 0) + coef * v
-            memo[ck] = {t: v for t, v in acc.items() if v}
+            memo[cell] = {t: v for t, v in acc.items() if v}
             stack.pop()
             continue
         status, partner = cell_status(cell)
         if status == "critical":
-            memo[ck] = {ck: 1}
+            memo[cell] = {cell: 1}
             stack.pop()
             continue
         if status == "down":
-            memo[ck] = {}
+            memo[cell] = {}
             stack.pop()
             continue
         facets = boundary(partner)
-        lam = next(s for f, s in facets if f.pieces == ck)
-        pending = [f for f, _ in facets if f.pieces != ck and f.pieces not in memo]
-        if any(f.pieces in open_cells for f in pending):
+        lam = next(s for f, s in facets if f == cell)
+        pending = [f for f, _ in facets if f != cell and f not in memo]
+        if any(f in open_cells for f in pending):
             raise BrokenPairing(f"closed V-path through {cell}")
-        open_cells[ck] = (facets, lam)
+        open_cells[cell] = (facets, lam)
         stack.extend(pending)
-    return memo[key]
+    return memo[start]
 
 
 def morse_boundary(cell):
-    """Public per-cell Morse boundary, as {critical Arrangement: coeff}."""
+    """Morse boundary of one critical cell, as {critical cell: coeff}."""
     if match_cell(cell) is not None:
         raise ValueError("cell is not critical")
-    raw = flow_boundary(cell, {})
-    board = cell.board
-    return {Arrangement(k, board): v for k, v in raw.items()}
+    return flow_boundary(cell, {})
 
 
 def _flow_chunk(args):
@@ -295,9 +290,11 @@ def _flow_chunk(args):
 class MorseComplex:
     """Critical cells by dimension plus the signed Morse boundary matrices.
 
-    cells[d] lists the labeled critical d-cells, the n! labelings of each
-    corner set consecutive; boundaries[d] holds the (row, col, coeff)
-    triplets of the map from d-cells to (d-1)-cells, sorted by (row, col).
+    cells[d] lists the labeled critical d-cells, each a tuple of Piece, the
+    n! labelings of each corner set consecutive; boundaries[d] holds the
+    (row, col, coeff) triplets of the map from d-cells to (d-1)-cells,
+    sorted by (row, col).  A restriction lists the very cell objects of the
+    complex it was restricted from.
     """
 
     def __init__(self, n, board, cells, boundaries):
@@ -332,13 +329,10 @@ class MorseComplex:
         for cells in self.cells:
             sel = []
             for start in range(0, len(cells), block):
-                if all(pc.col <= p and pc.row <= q for pc in cells[start].pieces):
+                if all(pc.col <= p and pc.row <= q for pc in cells[start]):
                     sel.extend(range(start, start + block))
             keep.append({old: new for new, old in enumerate(sel)})
-        cells = [
-            [Arrangement(self.cells[d][i].pieces, (p, q)) for i in kept]
-            for d, kept in enumerate(keep)
-        ]
+        cells = [[self.cells[d][i] for i in kept] for d, kept in enumerate(keep)]
         boundaries = [[]]
         for d in range(1, len(self.cells)):
             tri = []
@@ -403,15 +397,15 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
         if dim == 0:
             continue
         targets = []
-        for pieces, coeff in next(flows):
-            corner = [(pc.col, pc.row) for pc in pieces]
+        for target, coeff in next(flows):
+            corner = [(pc.col, pc.row) for pc in target]
             target_set = tuple(sorted(corner))
             # a later corner set is not in first yet, and counts as wrong too
             tdim, row = first.get(target_set, (None, 0))
             if tdim != dim - 1:
                 raise AssertionError("flow target has wrong dimension")
             slot = [target_set.index(c) for c in corner]
-            targets.append((Arrangement(pieces, board), coeff, row, slot))
+            targets.append((target, coeff, row, slot))
         for i, perm in enumerate(perms):
             base = relabel_sign(rep, perm)
             for target, coeff, row, slot in targets:

@@ -31,11 +31,11 @@ class CellCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _pack(pieces, p, q):
-    "Order-preserving integer key for a piece tuple on a fixed board."
+def _pack(cell, p, q):
+    "Order-preserving integer key for a cell on a fixed board."
     base = 4 * p * q
     key = 0
-    for pc in pieces:
+    for pc in cell:
         digit = ((pc.col - 1) * q + (pc.row - 1)) * 4 + pc.left + 2 * pc.down
         key = key * base + digit
     return key
@@ -51,15 +51,15 @@ def _triple_stream(n, p, q, counts):
     ids = {}
     numbered = [0] * len(counts)
     for cell in grid.enumerate_cells(n, p, q):
-        d = cell.dim
+        d = grid.cell_dim(cell)
         if d >= len(counts) or numbered[d] == counts[d]:
             raise AssertionError(f"more {d}-cells than the f-vector {counts} has")
         c = numbered[d]
         numbered[d] = c + 1
-        ids[_pack(cell.pieces, p, q)] = c
+        ids[_pack(cell, p, q)] = c
         if d:
             for facet, sign in grid.boundary(cell):
-                yield (d, ids[_pack(facet.pieces, p, q)], c, sign)
+                yield (d, ids[_pack(facet, p, q)], c, sign)
     if numbered != list(counts):
         raise AssertionError(f"cells by dimension {numbered}, f-vector {counts}")
 
@@ -213,16 +213,16 @@ def component_count(n, p, q):
 
     edges = []
     for cell in grid.enumerate_cells(n, p, q):
-        d = cell.dim
+        d = grid.cell_dim(cell)
         if d == 0:
-            key = _pack(cell.pieces, p, q)
+            key = _pack(cell, p, q)
             parent[key] = key
         elif d == 1:
             edges.append(cell)
     for cell in edges:
         (f1, _), (f2, _) = grid.boundary(cell)
-        a = find(_pack(f1.pieces, p, q))
-        b = find(_pack(f2.pieces, p, q))
+        a = find(_pack(f1, p, q))
+        b = find(_pack(f2, p, q))
         if a != b:
             parent[a] = b
     return sum(1 for k in parent if find(k) == k)

@@ -143,7 +143,7 @@ def test_criterion_4_restriction_correctness():
                 same = (
                     sub.counts == direct.counts
                     and all(
-                        a.pieces == b.pieces
+                        a == b
                         for sa, sb in zip(sub.cells, direct.cells)
                         for a, b in zip(sa, sb)
                     )
@@ -164,14 +164,14 @@ def test_criterion_4_restriction_correctness():
 def _identity_cells(n, p, q):
     "One labeled cell per relabeling class: apexes with sorted corners."
     for combo in itertools.combinations(grid.board_squares(p, q), n):
-        yield from grid.cells_with_apex(combo, (p, q))
+        yield from grid.cells_with_apex(combo)
 
 
 def _check_d2(cell):
     acc = {}
     for facet, s in grid.boundary(cell):
         for f2, s2 in grid.boundary(facet):
-            acc[f2.pieces] = acc.get(f2.pieces, 0) + s * s2
+            acc[f2] = acc.get(f2, 0) + s * s2
     return not any(acc.values())
 
 
@@ -191,7 +191,7 @@ def test_criterion_5_property_suites():
                     if total <= 250_000
                     else _identity_cells(n, p, q)
                 )
-                if not all(_check_d2(c) for c in cells if c.dim >= 2):
+                if not all(_check_d2(c) for c in cells if grid.cell_dim(c) >= 2):
                     failures.append(f"cubical d2 failed on {(n, p, q)}")
 
     # relabel sign law, random labeled cells on the large boards
@@ -199,7 +199,7 @@ def test_criterion_5_property_suites():
         p, q = rng.choice([(3, 4), (4, 4)])
         n = 4
         apex = tuple(rng.sample(grid.board_squares(p, q), n))
-        cells = [c for c in grid.cells_with_apex(apex, (p, q)) if c.dim >= 2]
+        cells = [c for c in grid.cells_with_apex(apex) if grid.cell_dim(c) >= 2]
         if not cells:
             continue
         cell = rng.choice(cells)
@@ -233,7 +233,7 @@ def test_criterion_5_property_suites():
                 perms = list(itertools.permutations(range(n)))
                 for combo in itertools.combinations(squares, n):
                     graph = ApexGraph(combo, (p, q))
-                    cells = grid.cells_with_apex(combo, (p, q))
+                    cells = grid.cells_with_apex(combo)
                     if graph.independent_set_count() != len(cells):
                         failures.append(f"count mismatch at {combo} on {(p, q)}")
                     degree = {}
@@ -251,14 +251,14 @@ def test_criterion_5_property_suites():
                         status, partner = morse.cell_status(cell)
                         if status == "critical":
                             criticals += 1
-                            if any(pc.left and pc.down for pc in cell.pieces):
+                            if any(pc.left and pc.down for pc in cell):
                                 failures.append(f"critical 2x2 piece in {cell}")
-                            if cell.dim > min(n, (p * q) // 3):
+                            if grid.cell_dim(cell) > min(n, (p * q) // 3):
                                 failures.append(f"critical dim too big: {cell}")
                             continue
                         if grid.apex_of(partner) != grid.apex_of(cell):
                             failures.append(f"pair changes apex at {cell}")
-                        if abs(partner.dim - cell.dim) != 1:
+                        if abs(grid.cell_dim(partner) - grid.cell_dim(cell)) != 1:
                             failures.append(f"pair dim gap at {cell}")
                         if morse.match_cell(partner) != cell:
                             failures.append(f"pairing not an involution at {cell}")
@@ -298,7 +298,7 @@ def test_criterion_5_property_suites():
             [(squares45, (4, 5)), (squares55, (5, 5))]
         )
         apex = tuple(rng.sample(squares, 5))
-        cells = grid.cells_with_apex(apex, board)
+        cells = grid.cells_with_apex(apex)
         graph = ApexGraph(apex, board)
         if graph.independent_set_count() != len(cells):
             failures.append(f"n=5 count mismatch at {apex}")
@@ -312,10 +312,10 @@ def test_criterion_5_property_suites():
             if (
                 morse.match_cell(partner) != cell
                 or grid.apex_of(partner) != grid.apex_of(cell)
-                or abs(partner.dim - cell.dim) != 1
+                or abs(grid.cell_dim(partner) - grid.cell_dim(cell)) != 1
             ):
                 failures.append(f"n=5 pairing broke at {cell}")
-        if cell.dim >= 2 and not _check_d2(cell):
+        if grid.cell_dim(cell) >= 2 and not _check_d2(cell):
             failures.append(f"n=5 d2 broke at {cell}")
         bits = graph.encode(cell)
         if graph.decode(bits) != cell:

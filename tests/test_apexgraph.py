@@ -5,7 +5,7 @@ import pytest
 
 from hardsquares import grid
 from hardsquares.apexgraph import ApexGraph, fibonacci, path_structure
-from hardsquares.grid import Arrangement, Piece
+from hardsquares.grid import Piece
 
 
 def positions(graph):
@@ -48,7 +48,7 @@ def test_two_vertex_path():
     assert len(g.edges) == 1
     assert [len(p) for p in g.paths] == [2]
     assert g.independent_set_count() == 3
-    assert len(grid.cells_with_apex(((1, 2), (2, 1)), (2, 2))) == 3
+    assert len(grid.cells_with_apex(((1, 2), (2, 1)))) == 3
 
 
 def test_two_singleton_paths():
@@ -90,39 +90,39 @@ def test_bijection_counts_exhaustive():
         for n in range(1, 5):
             for combo in itertools.combinations(squares, n):
                 g = ApexGraph(combo, (p, q))
-                cells = grid.cells_with_apex(combo, (p, q))
+                cells = grid.cells_with_apex(combo)
                 assert g.independent_set_count() == len(cells), combo
 
 
 def test_iter_cells_matches_backtracking():
     for combo in itertools.combinations(grid.board_squares(3, 3), 3):
         g = ApexGraph(combo, (3, 3))
-        got = sorted(c.pieces for c in g.iter_cells())
-        want = sorted(c.pieces for c in grid.cells_with_apex(combo, (3, 3)))
+        got = sorted(g.iter_cells())
+        want = sorted(grid.cells_with_apex(combo))
         assert got == want
 
 
 def test_encode_decode_roundtrip():
     for cell in grid.enumerate_cells(2, 3, 3):
-        g = ApexGraph(grid.apex_of(cell), cell.board)
+        g = ApexGraph(grid.apex_of(cell), (3, 3))
         bits = g.encode(cell)
-        assert sum(s.count("1") for s in bits) == cell.dim
+        assert sum(s.count("1") for s in bits) == grid.cell_dim(cell)
         assert g.decode(bits) == cell
 
 
 def test_encode_zero_cell_and_example():
-    cell = Arrangement((Piece(1, 1, 0, 0), Piece(2, 2, 0, 0)), (2, 2))
+    cell = (Piece(1, 1, 0, 0), Piece(2, 2, 0, 0))
     g = ApexGraph(grid.apex_of(cell), (2, 2))
     assert g.encode(cell) == ("00",)
     g = ApexGraph(((1, 2), (2, 1)), (2, 2))
     cell = g.decode(("10",))
     # first vertex in global order is the height option of the piece at (1, 2)
-    assert cell.pieces == (Piece(1, 2, 0, 1), Piece(2, 1, 0, 0))
+    assert cell == (Piece(1, 2, 0, 1), Piece(2, 1, 0, 0))
 
 
 def test_encode_decode_in_own_apex_graph():
-    cell = Arrangement((Piece(2, 2, 0, 1), Piece(1, 1, 0, 0)), (2, 2))
-    g = ApexGraph(grid.apex_of(cell), cell.board)
+    cell = (Piece(2, 2, 0, 1), Piece(1, 1, 0, 0))
+    g = ApexGraph(grid.apex_of(cell), (2, 2))
     bits = g.encode(cell)
     assert sum(s.count("1") for s in bits) == 1
     assert g.decode(bits) == cell
@@ -145,27 +145,27 @@ def test_face_relation_is_subset_relation():
             g = ApexGraph(apex, (p, q))
             coded = [(cell, g.encode(cell)) for cell in cells]
             for (e, be) in coded:
-                faces = {f.pieces for f in closure(e)}
+                faces = set(closure(e))
                 for (f, bf) in coded:
                     subset = all(
                         all(x <= y for x, y in zip(sf, se))
                         for sf, se in zip(bf, be)
                     )
-                    assert (f.pieces in faces) == subset
+                    assert (f in faces) == subset
 
 
 def closure(cell):
-    out = {cell.pieces: cell}
+    out = {cell}
     frontier = [cell]
     while frontier:
         nxt = []
         for c in frontier:
             for f, _ in grid.boundary(c):
-                if f.pieces not in out:
-                    out[f.pieces] = f
+                if f not in out:
+                    out.add(f)
                     nxt.append(f)
         frontier = nxt
-    return out.values()
+    return out
 
 
 def test_fibonacci():

@@ -158,10 +158,9 @@ def test_critical_command(capsys, tmp_path):
     assert len(data["cells"]) == 8
     for record in data["cells"]:
         pieces = tuple(grid.Piece(*p) for p in record["pieces"])
-        cell = grid.Arrangement(pieces, (data["p"], data["q"]))
-        assert cell.dim == record["dim"]
-        rebuilt = morse.critical_cell_for(grid.apex_of(cell), cell.board)
-        assert rebuilt == cell
+        assert grid.cell_dim(pieces) == record["dim"]
+        rebuilt = morse.critical_cell_for(grid.apex_of(pieces), (data["p"], data["q"]))
+        assert rebuilt == pieces
 
 
 def test_critical_dump_respects_cell_cap(capsys, tmp_path):
@@ -335,6 +334,21 @@ def test_inspect_command(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["paths"] == [[0, 1]]
+
+
+def test_inspect_corners_errors_name_the_flag(capsys):
+    base = ["inspect", "--p", "2", "--q", "2", "--corners"]
+    for text in (";", "1", "1,1;", "a,b"):
+        with pytest.raises(SystemExit) as err:
+            cli.main(base + [text])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --corners: " in captured.err, text
+    # well-formed pairs that are not an apex of the board: ApexGraph refuses
+    for text, message in (("3,1", "off the 2x2 board"), ("1,1;1,1", "distinct")):
+        with pytest.raises(SystemExit) as err:
+            cli.main(base + [text])
+        assert err.value.code == 2 and message in capsys.readouterr().err
 
 
 def test_config_file(capsys, tmp_path):

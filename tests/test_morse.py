@@ -5,8 +5,8 @@ import signal
 import pytest
 
 from hardsquares import grid, morse, oracle, parallel
-from hardsquares.apexgraph import path_lengths, path_strings
-from hardsquares.grid import Arrangement, Piece
+from hardsquares.apexgraph import ApexGraph, path_lengths, path_strings
+from hardsquares.grid import Piece
 from hardsquares.homology import rank
 
 import shared
@@ -57,13 +57,13 @@ def test_critical_string():
 
 def test_match_cell_examples():
     # two singleton paths: the first (lower diagonal) flips first
-    zero = Arrangement((Piece(2, 1, 0, 0), Piece(2, 2, 0, 0)), (2, 2))
+    zero = (Piece(2, 1, 0, 0), Piece(2, 2, 0, 0))
     partner = morse.match_cell(zero)
-    assert partner == Arrangement((Piece(2, 1, 1, 0), Piece(2, 2, 0, 0)), (2, 2))
+    assert partner == (Piece(2, 1, 1, 0), Piece(2, 2, 0, 0))
     assert morse.match_cell(partner) == zero
 
     # single 2-path carrying the unmatched pattern 01
-    crit = Arrangement((Piece(1, 2, 0, 0), Piece(2, 1, 1, 0)), (2, 2))
+    crit = (Piece(1, 2, 0, 0), Piece(2, 1, 1, 0))
     assert morse.match_cell(crit) is None
     status, _ = morse.cell_status(crit)
     assert status == "critical"
@@ -73,7 +73,7 @@ def test_match_cell_equivariance_exhaustive_small():
     for n, p, q in [(2, 2, 2), (3, 2, 3), (3, 3, 3)]:
         perms = list(itertools.permutations(range(n)))
         for combo in itertools.combinations(grid.board_squares(p, q), n):
-            for cell in grid.cells_with_apex(combo, (p, q)):
+            for cell in grid.cells_with_apex(combo):
                 partner = morse.match_cell(cell)
                 for perm in perms:
                     image = morse.match_cell(grid.relabel(cell, perm))
@@ -90,7 +90,7 @@ def test_match_cell_equivariance_random_larger():
         q = rng.randint(2, 5)
         n = rng.randint(2, min(5, p * q))
         apex = tuple(rng.sample(grid.board_squares(p, q), n))
-        cells = grid.cells_with_apex(apex, (p, q))
+        cells = grid.cells_with_apex(apex)
         cell = rng.choice(cells)
         perm = tuple(rng.sample(range(n), n))
         partner = morse.match_cell(cell)
@@ -105,22 +105,22 @@ def test_pairing_properties_exhaustive():
     for n, p, q in [(2, 2, 2), (2, 2, 3), (3, 2, 3), (3, 3, 3), (2, 1, 4)]:
         for combo in itertools.combinations(grid.board_squares(p, q), n):
             criticals = 0
-            for cell in grid.cells_with_apex(combo, (p, q)):
+            for cell in grid.cells_with_apex(combo):
                 status, partner = morse.cell_status(cell)
                 if status == "critical":
                     criticals += 1
                     continue
                 assert grid.apex_of(partner) == grid.apex_of(cell)
-                assert abs(partner.dim - cell.dim) == 1
+                assert abs(grid.cell_dim(partner) - grid.cell_dim(cell)) == 1
                 assert morse.match_cell(partner) == cell
-                low, high = sorted((cell, partner), key=lambda a: a.dim)
+                low, high = sorted((cell, partner), key=grid.cell_dim)
                 assert any(f == low for f, _ in grid.boundary(high))
             assert criticals <= 1
 
 
 def test_critical_cell_for():
     assert morse.critical_cell_for(((1, 1), (1, 2)), (2, 2)) is not None
-    assert morse.critical_cell_for(((1, 1), (1, 2)), (2, 2)).dim == 0
+    assert grid.cell_dim(morse.critical_cell_for(((1, 1), (1, 2)), (2, 2))) == 0
     assert morse.critical_cell_for(((2, 1), (2, 2)), (2, 2)) is None
 
 
@@ -144,7 +144,7 @@ def test_critical_sets_match_decoded_cells():
         for combo in itertools.combinations(grid.board_squares(p, q), n):
             cell = morse.critical_cell_for(combo, board)
             if cell is not None:
-                expected.append((combo, cell.dim))
+                expected.append((combo, grid.cell_dim(cell)))
         assert list(morse.critical_sets(n, p, q)) == expected, (n, p, q)
 
 
@@ -194,7 +194,7 @@ def test_critical_cells_have_no_2x2_and_no_isolated_vertex():
         area = p * q
         for corners, dim in morse.critical_sets(n, p, q):
             cell = morse.critical_cell_for(corners, (p, q))
-            assert all(not (pc.left and pc.down) for pc in cell.pieces)
+            assert all(not (pc.left and pc.down) for pc in cell)
             assert dim <= n and 3 * dim <= area
             assert all(k != 1 for k in path_lengths(corners))
 
@@ -205,7 +205,7 @@ def test_morse_boundary_of_zero_cell():
 
 
 def test_morse_boundary_rejects_non_critical():
-    cell = Arrangement((Piece(2, 1, 0, 0), Piece(2, 2, 0, 0)), (2, 2))
+    cell = (Piece(2, 1, 0, 0), Piece(2, 2, 0, 0))
     with pytest.raises(ValueError):
         morse.morse_boundary(cell)
 
@@ -229,12 +229,12 @@ def test_equivariant_assembly_matches_per_cell_flows():
         idx = {}
         for d, cells in enumerate(mc.cells):
             for i, cell in enumerate(cells):
-                idx[cell.pieces] = (d, i)
+                idx[cell] = (d, i)
         for d in range(1, len(mc.cells)):
             tris = []
             for i, cell in enumerate(mc.cells[d]):
                 for target, coeff in sorted(morse.morse_boundary(cell).items()):
-                    dd, r = idx[target.pieces]
+                    dd, r = idx[target]
                     assert dd == d - 1
                     tris.append((r, i, coeff))
             tris.sort()
@@ -243,12 +243,12 @@ def test_equivariant_assembly_matches_per_cell_flows():
 
 def _cyclic_pairing(monkeypatch):
     "Patch cell_status so both vertices of one (2,2,2) edge pair up with it."
-    edge = next(c for c in grid.enumerate_cells(2, 2, 2) if c.dim == 1)
-    ends = {f.pieces for f, _ in grid.boundary(edge)}
+    edge = next(c for c in grid.enumerate_cells(2, 2, 2) if grid.cell_dim(c) == 1)
+    ends = {f for f, _ in grid.boundary(edge)}
     real = morse.cell_status
 
     def cyclic(cell):
-        return ("up", edge) if cell.pieces in ends else real(cell)
+        return ("up", edge) if cell in ends else real(cell)
 
     monkeypatch.setattr(morse, "cell_status", cyclic)
     return edge
@@ -304,8 +304,8 @@ def test_restriction_equals_direct_build():
                 sub = full.restrict(p, q)
                 direct = shared.morse_complex(n, p, q)
                 assert sub.counts == direct.counts, (n, p, q)
-                assert [c.pieces for cs in sub.cells for c in cs] == [
-                    c.pieces for cs in direct.cells for c in cs
+                assert [c for cs in sub.cells for c in cs] == [
+                    c for cs in direct.cells for c in cs
                 ]
                 assert [list(b) for b in sub.boundaries] == [
                     list(b) for b in direct.boundaries
@@ -383,3 +383,34 @@ def test_d2_checked_once_per_build(monkeypatch):
     for p, q in ((2, 2), (2, 3), (3, 3)):
         mc.restrict(p, q).betti("gf2")
     assert calls == [mc.counts]
+
+
+def test_every_producer_returns_a_plain_tuple_of_pieces():
+    def plain(cell):
+        return type(cell) is tuple and all(type(pc) is Piece for pc in cell)
+
+    n, p, q = 3, 3, 3
+    cells = list(grid.enumerate_cells(n, p, q))
+    apex = ((2, 1), (1, 2), (3, 3))
+    graph = ApexGraph(apex, (p, q))
+    with_apex = grid.cells_with_apex(apex)
+    produced = cells + with_apex + list(graph.iter_cells())
+    produced += [graph.decode(graph.encode(cell)) for cell in with_apex]
+    for cell in cells:
+        produced += [f for f, _ in grid.boundary(cell)]
+        produced.append(grid.relabel(cell, (2, 0, 1)))
+        partner = morse.match_cell(cell)
+        produced += [] if partner is None else [partner]
+    critical = list(morse.iter_critical_cells(n, p, q))
+    produced += critical
+    produced += [morse.critical_cell_for(c, (p, q)) for c, _ in morse.critical_sets(n, p, q)]
+    for cell in critical:
+        produced += list(morse.morse_boundary(cell))
+    assert all(map(plain, produced))
+
+    mc = shared.morse_complex(n, p, q)
+    own = {cell: cell for cells in mc.cells for cell in cells}
+    assert all(map(plain, own))
+    sub = mc.restrict(2, 3)
+    assert sum(sub.counts) > 0
+    assert all(own[cell] is cell for cells in sub.cells for cell in cells)

@@ -16,7 +16,10 @@ H_0 generators would give wrong answers.  Renumbering the cells of each
 dimension must leave every Betti number unchanged.
 
 grid.relabel_sign is checked against the plain count of inversions of
-the free coordinates in x1,y1,...,xn,yn order.
+the free coordinates in x1,y1,...,xn,yn order, and relabeling with its
+sign against the cocycle law that makes it a right action of S_n:
+relabeling by g then h is relabeling by gh, gh[k] = g[h[k]], and the
+signs multiply.
 """
 
 from fractions import Fraction
@@ -173,13 +176,13 @@ def test_betti_unchanged_by_renumbering(cc, data):
         assert betti(renumbered, field) == betti(cc, field)
 
 
-def coordinate_order_sign(arr, perm):
+def coordinate_order_sign(cell, perm):
     "Parity of the reordering of the free coordinates that relabeling makes."
     pos = [0] * len(perm)
     for k, j in enumerate(perm):
         pos[j] = k
     keys = []
-    for j, pc in enumerate(arr.pieces):
+    for j, pc in enumerate(cell):
         keys += [(pos[j], axis) for axis, free in enumerate((pc.left, pc.down)) if free]
     inversions = sum(
         keys[l] < keys[i] for i in range(len(keys)) for l in range(i + 1, len(keys))
@@ -193,6 +196,28 @@ def test_relabel_sign_matches_coordinate_order(extensions, data):
     pieces = tuple(
         grid.Piece(2 * k + 2, 2, left, down) for k, (left, down) in enumerate(extensions)
     )
-    arr = grid.Arrangement(pieces, (2 * len(pieces) + 2, 2))
     perm = tuple(data.draw(st.permutations(range(len(pieces)))))
-    assert grid.relabel_sign(arr, perm) == coordinate_order_sign(arr, perm)
+    assert grid.relabel_sign(pieces, perm) == coordinate_order_sign(pieces, perm)
+
+
+@st.composite
+def labeled_cells(draw):
+    "A random cell of a random labeled apex on a board up to 5 x 5."
+    p = draw(st.integers(1, 5))
+    q = draw(st.integers(1, 5))
+    n = draw(st.integers(1, min(5, p * q)))
+    apex = tuple(draw(st.permutations(grid.board_squares(p, q)))[:n])
+    return draw(st.sampled_from(grid.cells_with_apex(apex)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(labeled_cells(), st.data())
+def test_signed_relabeling_is_a_right_action(cell, data):
+    g = tuple(data.draw(st.permutations(range(len(cell)))))
+    h = tuple(data.draw(st.permutations(range(len(cell)))))
+    gh = tuple(g[k] for k in h)
+    image = grid.relabel(cell, g)
+    assert grid.relabel(image, h) == grid.relabel(cell, gh)
+    assert grid.relabel_sign(cell, gh) == (
+        grid.relabel_sign(cell, g) * grid.relabel_sign(image, h)
+    )
