@@ -5,8 +5,9 @@ complex a command builds, direct or Morse) and the vertex cap (the most
 lines of a vertex-list export).  Precedence: explicit keyword overrides
 (CLI flags), then the environment variables HARDSQ_THREADS and
 HARDSQ_CELL_CAP, then an optional JSON config file, then defaults.  The
-thread count is clamped to [1, os.cpu_count()], since each thread is a
-forked worker process.  A value that is not an integer, a negative limit,
+thread count is clamped to [1, the number of usable CPUs] (the affinity
+mask, where the platform has one), since each thread is a forked worker
+process.  A value that is not an integer, a negative limit,
 a config file that cannot be read, one that does not hold a JSON object
 and one with a key other than threads, cell_cap and vertex_cap raise
 ValueError (invalid JSON already does).

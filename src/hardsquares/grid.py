@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -98,6 +99,21 @@ def apex_of(cell):
     return tuple((pc.col, pc.row) for pc in cell)
 
 
+@lru_cache(maxsize=None)
+def _collapses(pc):
+    """(corner, far) endpoint pieces of each extension of a piece, left first.
+
+    Memoized for boundary: there are at most four pieces per board square.
+    """
+    c, r, left, down = pc
+    out = []
+    if left:
+        out.append((Piece(c, r, 0, down), Piece(c - 1, r, 0, down)))
+    if down:
+        out.append((Piece(c, r, left, 0), Piece(c, r - 1, left, 0)))
+    return tuple(out)
+
+
 def boundary(cell):
     """Signed facets of a cell.
 
@@ -105,25 +121,18 @@ def boundary(cell):
     corner endpoint keeps the corner, the far endpoint shifts it one square
     left or down.  Signs alternate along the fixed coordinate order
     x1,y1,x2,y2,...; the two endpoints of one coordinate get opposite signs.
+    Facets share their collapsed Piece objects (_collapses).
     """
     out = []
     t = 0
     for k, pc in enumerate(cell):
-        head, tail = cell[:k], cell[k + 1 :]
-        if pc.left:
-            sign = -1 if t & 1 else 1
-            upper = Piece(pc.col, pc.row, 0, pc.down)
-            lower = Piece(pc.col - 1, pc.row, 0, pc.down)
-            out.append((head + (upper,) + tail, sign))
-            out.append((head + (lower,) + tail, -sign))
-            t += 1
-        if pc.down:
-            sign = -1 if t & 1 else 1
-            upper = Piece(pc.col, pc.row, pc.left, 0)
-            lower = Piece(pc.col, pc.row - 1, pc.left, 0)
-            out.append((head + (upper,) + tail, sign))
-            out.append((head + (lower,) + tail, -sign))
-            t += 1
+        if pc.left or pc.down:
+            head, tail = cell[:k], cell[k + 1 :]
+            for corner, far in _collapses(pc):
+                sign = -1 if t & 1 else 1
+                out.append((head + (corner,) + tail, sign))
+                out.append((head + (far,) + tail, -sign))
+                t += 1
     return out
 
 
@@ -205,15 +214,30 @@ def enumerate_cells(n, p, q):
     """Every cell of the hard-squares complex exactly once.
 
     Cells come grouped by apex, apexes in lexicographic order of their
-    corner lists.  Empty stream when n > p*q.
+    corner lists, and within an apex in the order of cells_with_apex.
+    Empty stream when n > p*q.
+
+    The n! labelings of one corner set have the same cells up to
+    relabeling, so each set's cells are built once, for its sorted apex,
+    which comes first among its labelings.  A labeled apex takes them with
+    its pieces reordered, sorted by the tuple of per-piece option indices
+    left + 2*down: the (none, left, down, both) order of the backtracking.
+    Those tuples differ between the cells of one apex, so cells are never
+    compared, and the cells share their Piece objects.
     """
-    if n == 0:
-        yield ()
-        return
-    if n > p * q:
-        return
+    built = {}  # sorted apex -> (its cells, their option-index tuples)
     for apex in enumerate_apexes(n, p, q):
-        yield from cells_with_apex(apex)
+        corners = tuple(sorted(apex))
+        if corners == apex:
+            cells = cells_with_apex(apex)
+            options = [tuple(pc.left + 2 * pc.down for pc in cell) for cell in cells]
+            built[corners] = cells, options
+            yield from cells
+        else:
+            cells, options = built[corners]
+            take = itemgetter(*map(corners.index, apex))
+            for _, cell in sorted(zip(map(take, options), map(take, cells))):
+                yield cell
 
 
 @lru_cache(maxsize=None)

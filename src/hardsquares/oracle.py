@@ -31,14 +31,25 @@ class CellCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _pack(cell, p, q):
-    "Order-preserving integer key for a cell on a fixed board."
+def _cell_key(n, p, q):
+    """Order-preserving integer key of an n-piece cell on a fixed board.
+
+    Piece k of a cell adds its digit ((col-1)*q + row-1)*4 + left + 2*down
+    times base**(n-1-k), base = 4*p*q; the tables hold those products, so
+    a key is one C-level sum of table lookups.
+    """
     base = 4 * p * q
-    key = 0
-    for pc in cell:
-        digit = ((pc.col - 1) * q + (pc.row - 1)) * 4 + pc.left + 2 * pc.down
-        key = key * base + digit
-    return key
+    digits = {
+        grid.Piece(c, r, left, down): ((c - 1) * q + (r - 1)) * 4 + left + 2 * down
+        for c in range(1, p + 1)
+        for r in range(1, q + 1)
+        for left in (0, 1)
+        for down in (0, 1)
+    }
+    tables = [
+        {pc: d * base ** (n - 1 - k) for pc, d in digits.items()} for k in range(n)
+    ]
+    return lambda cell: sum(map(dict.__getitem__, tables, cell))
 
 
 def _triple_stream(n, p, q, counts):
@@ -49,6 +60,7 @@ def _triple_stream(n, p, q, counts):
     f-vector; cells numbered by dimension that differ from it raise.
     """
     ids = {}
+    key = _cell_key(n, p, q)
     numbered = [0] * len(counts)
     for cell in grid.enumerate_cells(n, p, q):
         d = grid.cell_dim(cell)
@@ -56,10 +68,10 @@ def _triple_stream(n, p, q, counts):
             raise AssertionError(f"more {d}-cells than the f-vector {counts} has")
         c = numbered[d]
         numbered[d] = c + 1
-        ids[_pack(cell, p, q)] = c
+        ids[key(cell)] = c
         if d:
             for facet, sign in grid.boundary(cell):
-                yield (d, ids[_pack(facet, p, q)], c, sign)
+                yield (d, ids[key(facet)], c, sign)
     if numbered != list(counts):
         raise AssertionError(f"cells by dimension {numbered}, f-vector {counts}")
 
@@ -211,18 +223,19 @@ def component_count(n, p, q):
             parent[x], x = root, parent[x]
         return root
 
+    key = _cell_key(n, p, q)
     edges = []
     for cell in grid.enumerate_cells(n, p, q):
         d = grid.cell_dim(cell)
         if d == 0:
-            key = _pack(cell, p, q)
-            parent[key] = key
+            k = key(cell)
+            parent[k] = k
         elif d == 1:
             edges.append(cell)
     for cell in edges:
         (f1, _), (f2, _) = grid.boundary(cell)
-        a = find(_pack(f1, p, q))
-        b = find(_pack(f2, p, q))
+        a = find(key(f1))
+        b = find(key(f2))
         if a != b:
             parent[a] = b
     return sum(1 for k in parent if find(k) == k)

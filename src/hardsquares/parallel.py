@@ -13,6 +13,9 @@ import os
 
 
 def default_threads():
+    "The number of CPUs this process may run on (its affinity mask)."
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

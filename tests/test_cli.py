@@ -2,6 +2,7 @@ import json
 import math
 import os
 import signal
+import subprocess
 import sys
 
 import pytest
@@ -377,11 +378,33 @@ def test_thread_determinism(capsys, monkeypatch):
 
 
 def test_threads_clamped_to_cpu_count():
-    cpus = os.cpu_count() or 1
+    cpus = parallel.default_threads()
     assert load_config(env={}, threads=10**6).threads == cpus
     assert load_config(env={}, threads=0).threads == 1
     assert load_config(env={"HARDSQ_THREADS": str(10**6)}).threads == cpus
     assert load_config(env={"HARDSQ_THREADS": "-3"}).threads == 1
+
+
+def test_default_threads_follow_cpu_affinity(monkeypatch):
+    # one usable CPU on a many-CPU machine (taskset -c 0) means one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parallel.default_threads() == 1
+    assert load_config(env={}, threads=8).threads == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = ["betti", "--n", "2", "--p", "2", "--q", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hardsquares", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "1 1"
 
 
 def test_bad_threads_exit_2(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -112,6 +113,28 @@ def test_enumeration_is_apex_major_lex():
             apexes.append(apex)
     assert apexes == sorted(apexes)
     assert len(apexes) == len(set(apexes))
+
+
+def test_enumeration_order_is_pinned():
+    # enumerate_cells builds each corner set's cells once and relabels
+    # them; the stream must still be the per-apex backtracking, cell for
+    # cell.  n = 5 stops at 3 x 3: (5, 3, 4) has 2.1 million cells.
+    instances = [
+        (n, p, q)
+        for p in range(1, 5)
+        for q in range(1, 5)
+        for n in range(min(4, p * q) + 2)
+        if n < 5 or p * q <= 9
+    ]
+    assert (5, 2, 4) in instances and (5, 3, 3) in instances
+    for n, p, q in instances:
+        reference = (
+            c
+            for a in itertools.permutations(grid.board_squares(p, q), n)
+            for c in grid.cells_with_apex(a)
+        )
+        pairs = itertools.zip_longest(grid.enumerate_cells(n, p, q), reference)
+        assert all(itertools.starmap(operator.eq, pairs)), (n, p, q)
 
 
 def test_enumeration_edge_cases():

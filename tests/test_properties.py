@@ -201,13 +201,30 @@ def test_relabel_sign_matches_coordinate_order(extensions, data):
 
 
 @st.composite
-def labeled_cells(draw):
-    "A random cell of a random labeled apex on a board up to 5 x 5."
+def labeled_apexes(draw):
+    "A random labeled apex on a board up to 5 x 5."
     p = draw(st.integers(1, 5))
     q = draw(st.integers(1, 5))
     n = draw(st.integers(1, min(5, p * q)))
-    apex = tuple(draw(st.permutations(grid.board_squares(p, q)))[:n])
-    return draw(st.sampled_from(grid.cells_with_apex(apex)))
+    return tuple(draw(st.permutations(grid.board_squares(p, q)))[:n])
+
+
+@st.composite
+def labeled_cells(draw):
+    "A random cell of a random labeled apex on a board up to 5 x 5."
+    return draw(st.sampled_from(grid.cells_with_apex(draw(labeled_apexes()))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(labeled_apexes())
+def test_labeled_apex_cells_are_relabeled_sorted_cells(apex):
+    # what enumerate_cells relies on: the cells of a labeled apex are those
+    # of its sorted corners, relabeled, in (none, left, down, both) order
+    corners = tuple(sorted(apex))
+    perm = [corners.index(a) for a in apex]
+    relabeled = [grid.relabel(cell, perm) for cell in grid.cells_with_apex(corners)]
+    relabeled.sort(key=lambda cell: [pc.left + 2 * pc.down for pc in cell])
+    assert grid.cells_with_apex(apex) == relabeled
 
 
 @settings(max_examples=300, deadline=None)
