@@ -192,12 +192,17 @@ def betti(cc, field="gf2"):
     """Betti numbers of a chain complex over the given field.
 
     Expects d o d = 0 and does not check it: validate_d2 does, and
-    build_morse_complex runs it once on every complex it builds.  See
+    build_morse_complex runs it once on every complex it builds.  Each
+    degree's entries are streamed in column order, as reduce_complex
+    needs; the sort is stable, so the entries of a column, and the
+    columns of a row, keep the order they have in cc.  See
     betti_of_stream for the rest.
     """
     counts = cc.counts
     stream = (
-        (j, r, c, v) for j in range(1, len(counts)) for r, c, v in cc.boundaries[j]
+        (j, r, c, v)
+        for j in range(1, len(counts))
+        for r, c, v in sorted(cc.boundaries[j], key=_col)
     )
     return betti_of_stream(counts, stream, field)
 
@@ -205,11 +210,13 @@ def betti(cc, field="gf2"):
 def betti_of_stream(counts, triples, field="gf2"):
     """Betti numbers from cell counts and (degree, row, col, value) entries.
 
-    The complex is shrunk by the coreduction of reduce_complex, which is
-    exact over the integers and so valid for every field.  What is left is
-    ranked one degree at a time from the top down, with clearing: a column
-    of d_j that is a pivot row of d_{j+1} would reduce to zero, because
-    d_j d_{j+1} = 0, so rank skips it.  Then
+    The entries of each column must arrive consecutively, as
+    reduce_complex requires.  The complex is shrunk by the coreduction of
+    reduce_complex, which is exact over the integers and so valid for
+    every field.  What is left is ranked one degree at a time from the
+    top down, with clearing: a column of d_j that is a pivot row of
+    d_{j+1} would reduce to zero, because d_j d_{j+1} = 0, so rank skips
+    it.  Then
     beta_j = seeds*[j == 0] + dim C_j - rank d_j - rank d_{j+1}
     on what is left, trailing zeros trimmed.
     """

@@ -2,8 +2,9 @@
 
 direct_betti builds the full cubical complex with no use of the gradient
 pairing, so it can be compared against the Morse route: the cell counts
-are the f-vector, and one enumeration numbers the cells and streams their
-boundaries into the reduction.  conf_plane_betti gives the closed-form
+are the f-vector, and one enumeration numbers the cells, in a dict keyed
+by the cell's tuple of pieces, and streams their boundaries into the
+reduction, one cell's entries at a time.  conf_plane_betti gives the closed-form
 Betti numbers of the planar labeled configuration space, the expected
 values in the stabilized regime.  classify_regime labels each degree
 solid, liquid, or gas-consistent by comparing against those values.
@@ -31,36 +32,16 @@ class CellCapExceeded(RuntimeError):
         self.cap = cap
 
 
-def _cell_key(n, p, q):
-    """Order-preserving integer key of an n-piece cell on a fixed board.
-
-    Piece k of a cell adds its digit ((col-1)*q + row-1)*4 + left + 2*down
-    times base**(n-1-k), base = 4*p*q; the tables hold those products, so
-    a key is one C-level sum of table lookups.
-    """
-    base = 4 * p * q
-    digits = {
-        grid.Piece(c, r, left, down): ((c - 1) * q + (r - 1)) * 4 + left + 2 * down
-        for c in range(1, p + 1)
-        for r in range(1, q + 1)
-        for left in (0, 1)
-        for down in (0, 1)
-    }
-    tables = [
-        {pc: d * base ** (n - 1 - k) for pc, d in digits.items()} for k in range(n)
-    ]
-    return lambda cell: sum(map(dict.__getitem__, tables, cell))
-
-
 def _triple_stream(n, p, q, counts):
     """(dim, facet id, cell id, sign) entries, numbering cells as they stream.
 
+    ids maps each cell, a tuple of pieces, to its number in its dimension.
     Every facet comes before its cell (an earlier apex, or an earlier
-    extension option of the same apex), so its id is known.  counts is the
-    f-vector; cells numbered by dimension that differ from it raise.
+    extension option of the same apex), so its id is known, and the
+    entries of one cell come together, as reduce_complex needs.  counts is
+    the f-vector; cells numbered by dimension that differ from it raise.
     """
     ids = {}
-    key = _cell_key(n, p, q)
     numbered = [0] * len(counts)
     for cell in grid.enumerate_cells(n, p, q):
         d = grid.cell_dim(cell)
@@ -68,10 +49,10 @@ def _triple_stream(n, p, q, counts):
             raise AssertionError(f"more {d}-cells than the f-vector {counts} has")
         c = numbered[d]
         numbered[d] = c + 1
-        ids[key(cell)] = c
+        ids[cell] = c
         if d:
             for facet, sign in grid.boundary(cell):
-                yield (d, ids[key(facet)], c, sign)
+                yield (d, ids[facet], c, sign)
     if numbered != list(counts):
         raise AssertionError(f"cells by dimension {numbered}, f-vector {counts}")
 
@@ -223,19 +204,17 @@ def component_count(n, p, q):
             parent[x], x = root, parent[x]
         return root
 
-    key = _cell_key(n, p, q)
     edges = []
     for cell in grid.enumerate_cells(n, p, q):
         d = grid.cell_dim(cell)
         if d == 0:
-            k = key(cell)
-            parent[k] = k
+            parent[cell] = cell
         elif d == 1:
             edges.append(cell)
     for cell in edges:
         (f1, _), (f2, _) = grid.boundary(cell)
-        a = find(key(f1))
-        b = find(key(f2))
+        a = find(f1)
+        b = find(f2)
         if a != b:
             parent[a] = b
     return sum(1 for k in parent if find(k) == k)

@@ -9,88 +9,125 @@ H_0; a cascade of free-coface cancellations seeded by such vertex
 removals then eats most of the complex with zero fill-in.  What survives
 is left to homology.rank, whose column elimination works over every
 field.
+
+The working set is flat: the boundary rows and values of every entry sit
+in two int64 arrays in stream order, each column is a begin/end slice of
+them, and a per-column count of live rows stands in for deleting rows, as
+every row dies exactly once.  This is why the entries of one column must
+arrive consecutively.  Each row keeps a list of its coface columns.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from itertools import compress
+from operator import sub
 
 
 def reduce_complex(counts, triples):
     """Shrink a chain complex without changing its homology.
 
     counts: cells per dimension.  triples: iterable of (degree, row, col,
-    value) boundary entries.  Coreduction runs only when every 1-cell
-    boundary is empty or x - y; otherwise the complex is returned whole.
+    value) boundary entries, the entries of each column consecutive and
+    each (degree, row, col) at most once; a column whose entries are split
+    raises ValueError.  Coreduction runs only when every 1-cell boundary
+    is empty or x - y; otherwise the complex is returned whole.
 
     Returns (seed_vertices, remaining_counts, remaining_triples), the
-    triples of each degree in column order, where seed_vertices counts
-    free H_0 generators split off during coreduction:
+    triples of each degree in column order and, within a column, in the
+    order they arrived, where seed_vertices counts free H_0 generators
+    split off during coreduction:
     beta_j = seeds*[j == 0] + (remaining formula over any field).
     """
     offs = [0]
     for m in counts:
         offs.append(offs[-1] + m)
     total = offs[-1]
-    bnd = [dict() for _ in range(total)]
+    rows = array("q")
+    vals = array("q")
+    begin = array("q", bytes(8 * total))
+    end = array("q", bytes(8 * total))
     cob = [[] for _ in range(total)]
+    add_row = rows.append
+    add_val = vals.append
+    deg = col = gc = None
     for d, r, c, v in triples:
+        if c != col or d != deg:
+            if gc is not None:
+                end[gc] = len(rows)
+            deg, col = d, c
+            gc = offs[d] + c
+            if end[gc]:
+                raise ValueError(f"the entries of {d}-cell column {c} are not consecutive")
+            begin[gc] = len(rows)
         gr = offs[d - 1] + r
-        gc = offs[d] + c
-        bnd[gc][gr] = v
+        add_row(gr)
+        add_val(v)
         cob[gr].append(gc)
+    if gc is not None:
+        end[gc] = len(rows)
     alive = bytearray(b"\x01") * total
 
     seeds = 0
-    edges = bnd[offs[1]:offs[2]] if len(counts) > 1 else ()
-    if counts and all(not col or sorted(col.values()) == [-1, 1] for col in edges):
-        seeds = _coreduce(counts[0], bnd, cob, alive)
+    edges = range(offs[1], offs[2]) if len(counts) > 1 else ()
+    if counts and all(
+        begin[g] == end[g] or sorted(vals[begin[g]:end[g]]) == [-1, 1] for g in edges
+    ):
+        live = array("q", map(sub, end, begin))
+        seeds = _coreduce(counts[0], rows, vals, begin, live, cob, alive)
+    del cob  # freed before the output is built
 
-    remap = {}
-    counts2 = [0] * len(counts)
+    remap = [None] * total  # new id of each live cell
+    counts2 = []
     for d in range(len(counts)):
-        for g in range(offs[d], offs[d + 1]):
-            if alive[g]:
-                remap[g] = counts2[d]
-                counts2[d] += 1
+        live_cells = compress(range(offs[d], offs[d + 1]), alive[offs[d]:offs[d + 1]])
+        k = -1
+        for k, g in enumerate(live_cells):
+            remap[g] = k
+        counts2.append(k + 1)
     tris2 = [[] for _ in range(len(counts))]
     for d in range(1, len(counts)):
-        tri = tris2[d]
+        add = tris2[d].append
         for g in range(offs[d], offs[d + 1]):
-            if alive[g]:
-                c = remap[g]
-                for gr, v in bnd[g].items():
-                    tri.append((remap[gr], c, v))
+            c = remap[g]
+            if c is not None:
+                for i in range(begin[g], end[g]):
+                    r = remap[rows[i]]
+                    if r is not None:
+                        add((r, c, vals[i]))
     return seeds, counts2, tris2
 
 
-def _coreduce(nvert, bnd, cob, alive):
+def _coreduce(nvert, rows, vals, begin, live, cob, alive):
     "Zero-fill cancellation cascade; returns the number of seeded vertices."
-    queue = deque(g for g in range(len(bnd)) if len(bnd[g]) == 1)
+    queue = deque(g for g in range(len(live)) if live[g] == 1)
+    push = queue.append
 
     def drop_row(x):
         # x is dead: remove its row from the boundaries of its cofaces
         for c in cob[x]:
             if alive[c]:
-                col = bnd[c]
-                if x in col:
-                    del col[x]
-                    if len(col) == 1:
-                        queue.append(c)
-        cob[x] = []
+                k = live[c] - 1
+                live[c] = k
+                if k == 1:
+                    push(c)
+        cob[x] = None
 
     def cascade():
         while queue:
             b = queue.popleft()
-            if not alive[b] or len(bnd[b]) != 1:
+            if not alive[b] or live[b] != 1:
                 continue
-            ((a, lam),) = bnd[b].items()
-            if lam not in (1, -1):
+            i = begin[b]
+            while not alive[rows[i]]:
+                i += 1
+            lam = vals[i]
+            if lam != 1 and lam != -1:
                 continue  # left for rank
+            a = rows[i]
             alive[a] = 0
             alive[b] = 0
-            bnd[b].clear()
-            bnd[a].clear()
             drop_row(b)
             drop_row(a)
 

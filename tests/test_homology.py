@@ -1,4 +1,5 @@
 from bisect import bisect_left
+from operator import itemgetter
 
 import pytest
 
@@ -193,10 +194,23 @@ def test_reduce_circle():
     assert tris2[1] == []
 
 
+def test_reduce_refuses_a_split_column():
+    # the entries of 1-cell column 1 come in two runs
+    counts = [3, 2]
+    stream = [(1, 0, 1, -1), (1, 1, 0, 1), (1, 0, 0, -1), (1, 2, 1, 1)]
+    with pytest.raises(ValueError, match="1-cell column 1 "):
+        reduce_complex(counts, stream)
+
+
 def test_reduce_preserves_betti_without_units():
     cc = shared.morse_complex(3, 3, 3).chain_complex()
     seeds, counts2, tris2 = reduce_complex(
-        cc.counts, ((j, r, c, v) for j in range(1, len(cc.counts)) for r, c, v in cc.boundaries[j])
+        cc.counts,
+        (
+            (j, r, c, v)
+            for j in range(1, len(cc.counts))
+            for r, c, v in sorted(cc.boundaries[j], key=itemgetter(1))
+        ),
     )
     reduced = ChainComplex(tuple(counts2), tuple(tuple(t) for t in tris2))
     b0, *rest = betti(reduced, "gf2")

@@ -15,6 +15,12 @@ sign change makes x - y, which is where splitting off vertices as free
 H_0 generators would give wrong answers.  Renumbering the cells of each
 dimension must leave every Betti number unchanged.
 
+reduce_complex, which works on flat arrays, is checked against the
+dict-based coreduction it replaced, kept here as reference_reduce: the
+same seeds, counts and triples, entry for entry, so the cancellation
+order is pinned.  The triples stream in column order, as reduce_complex
+requires.
+
 grid.relabel_sign is checked against the plain count of inversions of
 the free coordinates in x1,y1,...,xn,yn order, and relabeling with its
 sign against the cocycle law that makes it a right action of S_n:
@@ -22,16 +28,20 @@ relabeling by g then h is relabeling by gh, gh[k] = g[h[k]], and the
 signs multiply.
 """
 
+from collections import deque
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from hardsquares import grid
+import shared
+from hardsquares import grid, oracle
 from hardsquares.homology import ChainComplex, SparseMatrix, betti, rank, trim
+from hardsquares.reduce import reduce_complex
 
 SHAPES = ((1, 3), (2, 2), (3, 3), (1, 2, 2), (2, 2, 2))
 
@@ -238,3 +248,112 @@ def test_signed_relabeling_is_a_right_action(cell, data):
     assert grid.relabel_sign(cell, gh) == (
         grid.relabel_sign(cell, g) * grid.relabel_sign(image, h)
     )
+
+
+def reference_reduce(counts, triples):
+    "The coreduction with one dict of boundary entries per cell."
+    offs = [0]
+    for m in counts:
+        offs.append(offs[-1] + m)
+    total = offs[-1]
+    bnd = [dict() for _ in range(total)]
+    cob = [[] for _ in range(total)]
+    for d, r, c, v in triples:
+        gr = offs[d - 1] + r
+        gc = offs[d] + c
+        bnd[gc][gr] = v
+        cob[gr].append(gc)
+    alive = bytearray(b"\x01") * total
+
+    seeds = 0
+    edges = bnd[offs[1]:offs[2]] if len(counts) > 1 else ()
+    if counts and all(not col or sorted(col.values()) == [-1, 1] for col in edges):
+        seeds = reference_coreduce(counts[0], bnd, cob, alive)
+
+    remap = {}
+    counts2 = [0] * len(counts)
+    for d in range(len(counts)):
+        for g in range(offs[d], offs[d + 1]):
+            if alive[g]:
+                remap[g] = counts2[d]
+                counts2[d] += 1
+    tris2 = [[] for _ in range(len(counts))]
+    for d in range(1, len(counts)):
+        tri = tris2[d]
+        for g in range(offs[d], offs[d + 1]):
+            if alive[g]:
+                c = remap[g]
+                for gr, v in bnd[g].items():
+                    tri.append((remap[gr], c, v))
+    return seeds, counts2, tris2
+
+
+def reference_coreduce(nvert, bnd, cob, alive):
+    queue = deque(g for g in range(len(bnd)) if len(bnd[g]) == 1)
+
+    def drop_row(x):
+        for c in cob[x]:
+            if alive[c]:
+                col = bnd[c]
+                if x in col:
+                    del col[x]
+                    if len(col) == 1:
+                        queue.append(c)
+        cob[x] = []
+
+    def cascade():
+        while queue:
+            b = queue.popleft()
+            if not alive[b] or len(bnd[b]) != 1:
+                continue
+            ((a, lam),) = bnd[b].items()
+            if lam not in (1, -1):
+                continue
+            alive[a] = 0
+            alive[b] = 0
+            bnd[b].clear()
+            bnd[a].clear()
+            drop_row(b)
+            drop_row(a)
+
+    seeds = 0
+    cascade()
+    for v in range(nvert):
+        if alive[v]:
+            alive[v] = 0
+            seeds += 1
+            drop_row(v)
+            cascade()
+    return seeds
+
+
+def column_stream(cc):
+    "The entries of cc as reduce_complex takes them: degree by degree, in column order."
+    return [
+        (j, r, c, v)
+        for j in range(1, len(cc.counts))
+        for r, c, v in sorted(cc.boundaries[j], key=itemgetter(1))
+    ]
+
+
+def assert_same_reduction(counts, stream):
+    assert reduce_complex(counts, stream) == reference_reduce(counts, stream)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_cubical_complexes())
+def test_reduce_matches_dict_reference(cc):
+    assert_same_reduction(cc.counts, column_stream(cc))
+
+
+@pytest.mark.parametrize("inst", [(3, 3, 3), (4, 2, 4)])
+def test_reduce_matches_dict_reference_on_direct_stream(inst):
+    counts, _ = oracle.check_cap(*inst)
+    assert_same_reduction(counts, list(oracle._triple_stream(*inst, counts)))
+
+
+@pytest.mark.parametrize("board", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)])
+def test_reduce_matches_dict_reference_on_morse_restrictions(board):
+    cc = shared.morse_complex(4, 4, 4).restrict(*board).chain_complex()
+    assert_same_reduction(cc.counts, column_stream(cc))
+
