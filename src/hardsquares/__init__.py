@@ -30,8 +30,6 @@ from .oracle import (
     classify_regime,
     conf_plane_betti,
     direct_betti,
-    nonvanishing_witness_check,
-    witness_report_text,
 )
 
 __version__ = "0.1.0"

@@ -9,14 +9,17 @@ and --corners a list of col,row integer pairs.
 
 Exit codes: 0 success, 2 invalid arguments (an argparse error naming the
 flag, a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, a
-negative cell cap or vertex cap, and a --config file that is missing,
-unreadable, not a JSON object or has a value that is not an integer), 3 a
-cap refused the computation (CellCapExceeded for every cell cap: a direct
-or Morse build, complex-json, critical --dump; the vertex-list export has
-its own vertex cap), 1 a verify check failed or the gradient pairing has a
-closed V-path (BrokenPairing), 4 a worker process died
-(BrokenProcessPool).  main maps the exceptions to their codes.  verify
-reports a check over its size limit as skipped, with the CellCapExceeded text.
+negative cell cap or vertex cap, a --config file that is missing,
+unreadable, not a JSON object or has a value that is not an integer, and
+a table --out or critical --dump path that cannot be opened for writing),
+3 a cap refused the computation (CellCapExceeded for every cell cap: a
+direct or Morse build, complex-json, critical --dump; the vertex-list
+export has its own vertex cap), 1 a verify check failed or the gradient
+pairing has a closed V-path (BrokenPairing), 4 a worker process died
+(BrokenProcessPool), 141 (128 + SIGPIPE) the reader of stdout closed it
+early; the rest of the output is dropped without a traceback.  main maps
+the exceptions to their codes.  verify reports a check over its size
+limit as skipped, with the CellCapExceeded text.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -36,6 +40,7 @@ from .homology import audit, parse_field
 
 EXIT_CAP = 3
 EXIT_WORKER = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a run the signal ended
 
 
 def _at_least(low):
@@ -71,6 +76,14 @@ def _corners(text):
     if not corners or any(len(corner) != 2 for corner in corners):
         raise argparse.ArgumentTypeError(f"not col,row integer pairs: {text!r}")
     return corners
+
+
+def _create(parser, flag, path, **kwargs):
+    "open(path, 'w'), or an argparse error naming flag and path when that fails."
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        parser.error(f"argument {flag}: cannot write {path!r}: {exc.strerror}")
 
 
 def _common(parser):
@@ -114,8 +127,8 @@ def cmd_critical(parser, args, cfg):
         total = sum(counts)
         if total > cfg.cell_cap:
             raise oracle.CellCapExceeded(n, p, q, total, cfg.cell_cap)
-        cells = [grid.cell_json(cell) for cell in morse.iter_critical_cells(n, p, q)]
-        with open(args.dump, "w") as fh:
+        with _create(parser, "--dump", args.dump) as fh:
+            cells = [grid.cell_json(cell) for cell in morse.iter_critical_cells(n, p, q)]
             json.dump({"n": n, "p": p, "q": q, "cells": cells}, fh)
             fh.write("\n")
     return 0
@@ -126,7 +139,7 @@ def cmd_table(parser, args, cfg):
     if k < 2:
         print("warning: no table rows for max-n below 2", file=sys.stderr)
         return 0
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
+    out = _create(parser, "--out", args.out, newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
@@ -162,7 +175,7 @@ def cmd_export(parser, args, cfg):
             )
             return EXIT_CAP
         write = sys.stdout.write
-        for combo in itertools.permutations(grid.board_squares(p, q), n):
+        for combo in grid.enumerate_apexes(n, p, q):
             write(" ".join(f"{c} {r}" for c, r in combo))
             write("\n")
     else:
@@ -363,7 +376,12 @@ def main(argv=None):
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        return args.func(parser, args, cfg)
+        code = args.func(parser, args, cfg)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout; keep the exit-time flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except oracle.CellCapExceeded as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CAP
@@ -373,6 +391,7 @@ def main(argv=None):
     except BrokenProcessPool as exc:
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_WORKER
+    return code
 
 
 if __name__ == "__main__":

@@ -58,20 +58,6 @@ def snap(x):
     return f if x == f else f + 0.5
 
 
-def check_arrangement(cell, board):
-    """Raise ValueError unless every piece lies on the p x q board."""
-    p, q = board
-    if p < 1 or q < 1:
-        raise ValueError("board sides must be at least 1")
-    for pc in cell:
-        if not (1 <= pc.col <= p and 1 <= pc.row <= q):
-            raise ValueError(f"piece corner {pc.col, pc.row} off the {p}x{q} board")
-        if pc.left not in (0, 1) or pc.down not in (0, 1):
-            raise ValueError("extension flags must be 0 or 1")
-        if (pc.left and pc.col < 2) or (pc.down and pc.row < 2):
-            raise ValueError(f"piece {pc} extends off the board")
-
-
 def pieces_overlap(a, b):
     """Whether two pieces share a board square (closed interval test)."""
     return (

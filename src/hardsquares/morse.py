@@ -349,14 +349,6 @@ class MorseComplex:
             boundaries.pop()
         return MorseComplex(self.n, (p, q), cells, boundaries)
 
-    def to_json(self):
-        return {
-            "dims": list(self.counts),
-            "boundaries": [
-                [[r, c, v] for r, c, v in tri] for tri in self.boundaries[1:]
-            ],
-        }
-
 
 def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     """Morse complex of the full gradient pairing on the n, p, q complex.

@@ -1,21 +1,22 @@
-"""Independent cross-checks on the homology pipeline.
+"""The direct route, the cell cap, and the planar closed forms.
 
 direct_betti builds the full cubical complex with no use of the gradient
 pairing, so it can be compared against the Morse route: the cell counts
 are the f-vector, and one enumeration numbers the cells, in a dict keyed
 by the cell's tuple of pieces, and streams their boundaries into the
-reduction, one cell's entries at a time.  conf_plane_betti gives the closed-form
-Betti numbers of the planar labeled configuration space, the expected
-values in the stabilized regime.  classify_regime labels each degree
-solid, liquid, or gas-consistent by comparing against those values.
+reduction, one cell's entries at a time.  build_chain_complex
+materializes the same complex for small instances.  check_cap refuses,
+with CellCapExceeded, a complex whose f-vector total exceeds the cell
+cap.  conf_plane_betti gives the closed-form Betti numbers of the planar
+labeled configuration space, the expected values in the stabilized
+regime.  classify_regime labels each degree solid, liquid, or
+gas-consistent by comparing against those values.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import grid
-from .homology import ChainComplex, betti_of_stream, vanishing_bound
+from .homology import ChainComplex, betti_of_stream
 
 DEFAULT_CELL_CAP = 2_000_000
 
@@ -121,100 +122,3 @@ def classify_regime(n, p, q, betti_vec):
         else:
             labels.append("liquid")
     return labels
-
-
-def nonvanishing_witness_check(rows):
-    """Check the known nontrivial cycles and the vanishing region.
-
-    rows maps (n, p, q) to a computed Betti vector.  The orbit cycles in
-    the 2x2 board with 2 and 3 squares must be present, and every nonzero
-    Betti number, read as a point (x, y) = (n/pq, j/pq), must satisfy
-    y <= min(1 - x, x, 1/3), that is j <= homology.vanishing_bound(n, p, q).
-    """
-    report = {"witnesses": [], "points": [], "violations": []}
-    for inst in ((2, 2, 2), (3, 2, 2)):
-        bv = rows.get(inst)
-        if bv is None:
-            bv = direct_betti(*inst)
-        ok = len(bv) > 1 and bv[1] != 0
-        report["witnesses"].append(
-            {"instance": list(inst), "degree": 1, "nonzero": ok}
-        )
-        if not ok:
-            report["violations"].append(
-                f"expected nonzero degree-1 homology for {inst}"
-            )
-    for (n, p, q), bv in sorted(rows.items()):
-        area = p * q
-        for j, b in enumerate(bv):
-            if not b:
-                continue
-            x = Fraction(n, area)
-            y = Fraction(j, area)
-            inside = j <= vanishing_bound(n, p, q)
-            report["points"].append(
-                {
-                    "instance": [n, p, q],
-                    "degree": j,
-                    "x": [x.numerator, x.denominator],
-                    "y": [y.numerator, y.denominator],
-                    "inside": inside,
-                }
-            )
-            if not inside:
-                report["violations"].append(
-                    f"nonzero beta_{j} of {(n, p, q)} falls outside the"
-                    " admissible region"
-                )
-    return report
-
-
-def witness_report_text(report):
-    "Human-readable rendering of a nonvanishing_witness_check report."
-    lines = []
-    for w in report["witnesses"]:
-        n, p, q = w["instance"]
-        state = "present" if w["nonzero"] else "MISSING"
-        lines.append(f"degree-{w['degree']} cycle in ({n},{p},{q}): {state}")
-    for pt in report["points"]:
-        n, p, q = pt["instance"]
-        x = "{}/{}".format(*pt["x"])
-        y = "{}/{}".format(*pt["y"])
-        mark = "ok" if pt["inside"] else "OUTSIDE"
-        lines.append(
-            f"({n},{p},{q}) beta_{pt['degree']} != 0 at (x,y)=({x},{y}): {mark}"
-        )
-    if report["violations"]:
-        lines.append("violations:")
-        lines.extend("  " + v for v in report["violations"])
-    else:
-        lines.append("no violations")
-    return "\n".join(lines)
-
-
-def component_count(n, p, q):
-    "Connected components of the 1-skeleton, by union-find."
-    parent = {}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    edges = []
-    for cell in grid.enumerate_cells(n, p, q):
-        d = grid.cell_dim(cell)
-        if d == 0:
-            parent[cell] = cell
-        elif d == 1:
-            edges.append(cell)
-    for cell in edges:
-        (f1, _), (f2, _) = grid.boundary(cell)
-        a = find(f1)
-        b = find(f2)
-        if a != b:
-            parent[a] = b
-    return sum(1 for k in parent if find(k) == k)

@@ -175,6 +175,18 @@ def test_critical_dump_respects_cell_cap(capsys, tmp_path):
     assert len(json.loads(dump.read_text())["cells"]) == 8
 
 
+def test_critical_dump_unwritable_exits_2_before_building(capsys, tmp_path, monkeypatch):
+    def build(*args):
+        raise AssertionError("critical cells built for a file that cannot be written")
+
+    monkeypatch.setattr(morse, "iter_critical_cells", build)
+    dump = tmp_path / "missing" / "critical.json"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["critical", "--n", "2", "--p", "2", "--q", "2", "--dump", str(dump)])
+    assert err.value.code == 2
+    assert f"argument --dump: cannot write '{dump}'" in capsys.readouterr().err
+
+
 def test_table_command(capsys):
     code, out, _ = run(capsys, "table", "--max-n", "2")
     assert code == 0
@@ -192,6 +204,14 @@ def test_table_small_k_warns(capsys, tmp_path):
     code, out, err = run(capsys, "table", "--max-n", "1", "--out", str(target))
     assert code == 0 and out == "" and "warning" in err
     assert target.read_text() == "kept\n"
+
+
+def test_table_out_unwritable_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "table.csv"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["table", "--max-n", "2", "--out", str(target)])
+    assert err.value.code == 2
+    assert f"argument --out: cannot write '{target}'" in capsys.readouterr().err
 
 
 def test_table_out_file(capsys, tmp_path):
@@ -392,19 +412,45 @@ def test_default_threads_follow_cpu_affinity(monkeypatch):
     assert load_config(env={}, threads=8).threads == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(argv, **kwargs):
+    "python -m hardsquares argv in a subprocess that imports this checkout."
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = ["betti", "--n", "2", "--p", "2", "--q", "2"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "hardsquares", *argv],
-        capture_output=True,
-        text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=60,
+        **kwargs,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    argv = ["betti", "--n", "2", "--p", "2", "--q", "2"]
+    proc = run_module(argv, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "1 1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["betti", "--n", "2", "--p", "2", "--q", "2"],
+        ["fvector", "--n", "2", "--p", "2", "--q", "2"],
+        ["table", "--max-n", "2"],
+        ["export", "--n", "2", "--p", "2", "--q", "2", "--format", "vertex-list"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # the reader has gone away, as when `head -n 1` exits before the output ends
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_module(argv, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 def test_bad_threads_exit_2(capsys, monkeypatch):

@@ -3,8 +3,6 @@ import math
 import operator
 import random
 
-import pytest
-
 from hardsquares import grid
 from hardsquares.grid import Piece
 
@@ -252,14 +250,6 @@ def test_sliding_puzzle_counts():
         fv = grid.f_vector(p * q - 1, p, q)
         assert (fv[0], fv[1]) == (f0, f1)
         assert len(fv) == 2  # a graph: no extension beyond single dominoes
-
-
-def test_check_arrangement_rejects_bad_pieces():
-    with pytest.raises(ValueError):
-        grid.check_arrangement(arr((3, 1, 0, 0)), (2, 2))
-    with pytest.raises(ValueError):
-        grid.check_arrangement(arr((1, 1, 1, 0)), (2, 2))
-    grid.check_arrangement(arr((2, 2, 1, 1)), (2, 2))
 
 
 def test_cells_json():

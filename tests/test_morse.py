@@ -333,14 +333,6 @@ def test_morse_counts_dominate_betti():
             assert mc.counts[j] >= b
 
 
-def test_morse_json():
-    mc = shared.morse_complex(2, 2, 2)
-    data = mc.to_json()
-    assert data["dims"] == [4, 4]
-    assert len(data["boundaries"]) == 1
-    assert all(len(t) == 3 for t in data["boundaries"][0])
-
-
 def test_empty_and_trivial_complexes():
     assert morse.build_morse_complex(5, 2, 2).betti("gf2") == ()
     assert morse.build_morse_complex(0, 2, 2).betti("gf2") == (1,)

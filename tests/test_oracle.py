@@ -80,36 +80,6 @@ def test_classify_regime():
     assert oracle.classify_regime(4, 2, 2, (24,)) == ["liquid"]
 
 
-def test_witness_check():
-    rows = {
-        (2, 2, 2): (1, 1),
-        (3, 2, 2): (2, 2),
-        (5, 3, 4): (1, 10, 249),
-    }
-    report = oracle.nonvanishing_witness_check(rows)
-    assert report["violations"] == []
-    assert all(w["nonzero"] for w in report["witnesses"])
-    points = {
-        (tuple(pt["instance"]), pt["degree"]): (pt["x"], pt["y"])
-        for pt in report["points"]
-    }
-    assert points[((2, 2, 2), 1)] == ([1, 2], [1, 4])
-    assert points[((3, 2, 2), 1)] == ([3, 4], [1, 4])
-
-
-def test_witness_check_flags_fake_rows():
-    report = oracle.nonvanishing_witness_check({(2, 2, 2): (1, 1, 0, 0, 5)})
-    assert report["violations"]
-
-
-def test_witness_report_text():
-    report = oracle.nonvanishing_witness_check({(2, 2, 2): (1, 1)})
-    text = oracle.witness_report_text(report)
-    assert "degree-1 cycle in (2,2,2): present" in text
-    assert "(x,y)=(1/2,1/4): ok" in text
-    assert text.endswith("no violations")
-
-
 def test_beta0_is_1_in_the_connected_range():
     # connectivity holds whenever both sides are at least 2 and at least
     # two board squares stay free
@@ -122,13 +92,6 @@ def test_oracle_agrees_with_morse_n5_small_boards():
     # n = 5 boards with area at most 8
     for p, q in [(1, 5), (1, 6), (1, 7), (1, 8), (2, 3), (3, 2), (2, 4), (4, 2)]:
         assert shared.direct_betti(5, p, q) == shared.morse_betti(5, p, q), (p, q)
-
-
-def test_component_count_matches_beta0():
-    for n, p, q in [(2, 2, 2), (3, 2, 2), (3, 2, 3), (4, 2, 2), (2, 1, 3), (3, 3, 3)]:
-        bv = shared.direct_betti(n, p, q)
-        beta0 = bv[0] if bv else 0
-        assert oracle.component_count(n, p, q) == beta0
 
 
 def test_direct_agrees_with_morse_small():
