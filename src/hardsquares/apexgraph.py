@@ -6,7 +6,8 @@ midpoint of the board edge it would extend across, and two options that
 cannot be taken together are joined by an edge.  The resulting graph is
 always a disjoint union of paths running along anti-diagonals, which makes
 the cells with one apex equivalent to products of independent sets on
-paths.
+paths.  check_half_squares states the half-square allocation behind the
+vanishing bound once, for verify and the tests.
 """
 
 from __future__ import annotations
@@ -261,3 +262,26 @@ class ApexGraph:
             "paths": [list(p) for p in self.paths],
         }
 
+
+def check_half_squares(graph, p, q):
+    """Raise AssertionError unless graph.half_squares() is an allocation
+    behind the vanishing bound on the p x q board.
+
+    Each vertex gets 4 half-squares on a singleton path, 3 at a path end
+    and 2 inside a path; the sets are pairwise disjoint, every half-square
+    is (col, row, "ul" or "lr") on the board, and there are at most 2pq.
+    """
+    alloc = graph.half_squares()
+    seen = set()
+    for path in graph.paths:
+        for pos, i in enumerate(path):
+            hs = alloc[graph.vertices[i]]
+            expected = 2 + (pos == 0) + (pos == len(path) - 1)
+            assert len(hs) == expected, f"half-square count at {graph.apex}"
+            assert not (hs & seen), f"overlapping half-squares at {graph.apex}"
+            for c, r, half in hs:
+                assert 1 <= c <= p and 1 <= r <= q and half in ("ul", "lr"), (
+                    f"half-square off the board at {graph.apex}"
+                )
+            seen |= hs
+    assert len(seen) <= 2 * p * q, f"more half-squares than the board at {graph.apex}"

@@ -5,7 +5,12 @@ cell counts (critical), the reference table of Betti numbers (table),
 plain-text and JSON exports (export), invariant checking (verify), and an
 apex-graph dump (inspect).  argparse checks every argument once: --n is
 at least 0, --p, --q and --threads at least 1, --field is a parse_field name
-and --corners a list of col,row integer pairs.
+and --corners a list of col,row integer pairs.  An error found after
+parsing goes through the subcommand's own parser, so it prints that
+command's usage line.  verify's cubical and apex checks are the
+library's structural checks, grid.check_cell on every cell of dimension
+2 or more and morse.check_corner_set on every corner set; the cubical
+check adds only the count of cells against the f-vector.
 
 Exit codes: 0 success, 2 invalid arguments (an argparse error naming the
 flag, a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, a
@@ -189,7 +194,7 @@ def cmd_inspect(parser, args, cfg):
     try:
         graph = ApexGraph(args.corners, (args.p, args.q))
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"argument --corners: {exc}")
     print(json.dumps(graph.to_json()))
     return 0
 
@@ -213,51 +218,15 @@ def _verify_checks(n, p, q, cfg, deep):
             d = grid.cell_dim(cell)
             assert d < len(counts), f"f-vector: a {d}-cell, but the f-vector is {fv}"
             counts[d] += 1
-            if d < 2:
-                continue
-            acc = {}
-            for facet, s in grid.boundary(cell):
-                assert grid.is_valid_cell(facet), f"invalid facet of {cell}"
-                for f2, s2 in grid.boundary(facet):
-                    acc[f2] = acc.get(f2, 0) + s * s2
-            assert not any(acc.values()), f"d o d != 0 at {cell}"
+            if d >= 2:
+                grid.check_cell(cell)
         assert tuple(counts) == fv, (
             f"f-vector: enumeration gives {counts}, counting gives {fv}"
         )
 
     def apex_structure():
-        for combo in itertools.combinations(grid.board_squares(p, q), n):
-            graph = ApexGraph(combo, board)
-            cells = grid.cells_with_apex(combo)
-            assert graph.independent_set_count() == len(cells), (
-                f"Fibonacci count: apex {combo} has {len(cells)} cells,"
-                f" {graph.independent_set_count()} independent sets"
-            )
-            criticals = 0
-            for cell in cells:
-                status, partner = morse.cell_status(cell)
-                if status == "critical":
-                    criticals += 1
-                    continue
-                assert grid.apex_of(partner) == combo, "pairing changes the apex"
-                step = grid.cell_dim(partner) - grid.cell_dim(cell)
-                assert abs(step) == 1, "pairing dimensions"
-                assert morse.match_cell(partner) == cell, "pairing is not an involution"
-                low, high = sorted((cell, partner), key=grid.cell_dim)
-                assert any(f == low for f, _ in grid.boundary(high)), (
-                    "paired cell is not a facet of its partner"
-                )
-            assert criticals <= 1, f"apex {combo} has {criticals} critical cells"
-            alloc = graph.half_squares()
-            seen = set()
-            for path in graph.paths:
-                for pos, i in enumerate(path):
-                    hs = alloc[graph.vertices[i]]
-                    expected = 2 + (pos == 0) + (pos == len(path) - 1)
-                    assert len(hs) == expected, f"half-square count at {combo}"
-                    assert not (hs & seen), f"overlapping half-squares at {combo}"
-                    seen |= hs
-            assert len(seen) <= 2 * p * q, f"more half-squares than the board at {combo}"
+        for corners in itertools.combinations(grid.board_squares(p, q), n):
+            morse.check_corner_set(corners, board)
 
     def morse_route():
         # the build raises AssertionError unless d o d = 0
@@ -318,25 +287,21 @@ def build_parser():
     _instance_args(p_betti)
     p_betti.add_argument("--field", type=_field, default="gf2", help="gf2, gf<p>, or rational")
     p_betti.add_argument("--method", choices=("morse", "direct"), default="morse")
-    _common(p_betti)
     p_betti.set_defaults(func=cmd_betti)
 
     p_fv = sub.add_parser("fvector", help="cell counts by dimension")
     _instance_args(p_fv)
-    _common(p_fv)
     p_fv.set_defaults(func=cmd_fvector)
 
     p_crit = sub.add_parser("critical", help="critical cell counts")
     _instance_args(p_crit)
     p_crit.add_argument("--dump", help="write critical cells as JSON to this file")
-    _common(p_crit)
     p_crit.set_defaults(func=cmd_critical)
 
     p_table = sub.add_parser("table", help="Betti table for all boards up to n")
     p_table.add_argument("--max-n", type=int, required=True)
     p_table.add_argument("--field", type=_field, default="gf2")
     p_table.add_argument("--out", help="CSV output path (default stdout)")
-    _common(p_table)
     p_table.set_defaults(func=cmd_table)
 
     p_exp = sub.add_parser("export", help="plain-text or JSON complex exports")
@@ -344,22 +309,23 @@ def build_parser():
     p_exp.add_argument(
         "--format", choices=("vertex-list", "complex-json"), required=True
     )
-    _common(p_exp)
     p_exp.set_defaults(func=cmd_export)
 
     p_ver = sub.add_parser("verify", help="run the invariant checks on one instance")
     _instance_args(p_ver)
     p_ver.add_argument("--deep", action="store_true")
-    _common(p_ver)
     p_ver.set_defaults(func=cmd_verify)
 
     p_ins = sub.add_parser("inspect", help="dump one apex graph as JSON")
     p_ins.add_argument("--corners", type=_corners, required=True, help='e.g. "1,2;2,1"')
     p_ins.add_argument("--p", type=_at_least(1), required=True)
     p_ins.add_argument("--q", type=_at_least(1), required=True)
-    _common(p_ins)
     p_ins.set_defaults(func=cmd_inspect)
 
+    for command in sub.choices.values():
+        _common(command)
+        # errors found after parsing print this command's usage
+        command.set_defaults(parser=command)
     return parser
 
 
@@ -374,9 +340,9 @@ def main(argv=None):
             vertex_cap=args.vertex_cap,
         )
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     try:
-        code = args.func(parser, args, cfg)
+        code = args.func(args.parser, args, cfg)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; keep the exit-time flush quiet

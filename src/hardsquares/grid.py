@@ -10,6 +10,8 @@ complex exactly when no two pieces share a board square; its dimension
 
 This module provides the cell encoding, membership predicates, the signed
 cubical boundary, deterministic apex-major enumeration, and f-vectors.
+It owns the complex's structural check, check_cell: the facets of a cell
+are cells, and d o d = 0 on it.
 """
 
 from __future__ import annotations
@@ -120,6 +122,17 @@ def boundary(cell):
                 out.append((head + (far,) + tail, -sign))
                 t += 1
     return out
+
+
+def check_cell(cell):
+    """Raise AssertionError unless every facet of cell is a valid cell and
+    the boundary of its boundary is zero."""
+    acc = {}
+    for facet, s in boundary(cell):
+        assert is_valid_cell(facet), f"invalid facet of {cell}"
+        for f2, s2 in boundary(facet):
+            acc[f2] = acc.get(f2, 0) + s * s2
+    assert not any(acc.values()), f"d o d != 0 at {cell}"
 
 
 def cell_vertices(cell):

@@ -8,7 +8,9 @@ through the matching until only critical cells remain, once per critical
 corner set, since the labeled critical cells are free S_n-orbits; each
 corner set's n! labelings get consecutive ids.  A flow ends because the
 pairing is acyclic; a closed V-path raises BrokenPairing instead of
-looping, and verify_acyclic flows every cell to look for one.  Critical
+looping, and verify_acyclic flows every cell to look for one.
+check_corner_set checks the rest of what makes the pairing a discrete
+gradient, one corner set at a time, for verify and the tests.  Critical
 cells are decoded by the apex's ApexGraph.  The build refuses, with
 oracle.CellCapExceeded, a complex whose labeled critical cells exceed the
 cell cap, and checks d o d = 0 on the complex it returns; restrict keeps
@@ -23,7 +25,7 @@ import math
 from functools import lru_cache
 
 from . import grid
-from .apexgraph import ApexGraph, cached_structure, diagonal_paths
+from .apexgraph import ApexGraph, cached_structure, check_half_squares, diagonal_paths
 from .grid import Piece, boundary, cell_dim, relabel, relabel_sign
 from .homology import ChainComplex, betti, validate_d2
 from .oracle import DEFAULT_CELL_CAP, CellCapExceeded
@@ -166,20 +168,12 @@ def critical_sets(n, p, q):
     Yields (corners, dim) with corners a sorted tuple of board squares.
     The candidates come from a search over the anti-diagonals that prunes
     every set with a path of 1 mod 3 vertices (_diagonal_search); the
-    dimension is read off the cached path structure of each.
+    dimension is the number of options the critical string of each of
+    its cached paths takes.
     """
     for combo in _diagonal_search(n, p, q):
         paths = cached_structure(combo)
-        dim = 0
-        for path in paths:
-            k = len(path)
-            r = k % 3
-            if r == 1:
-                dim = -1
-                break
-            dim += k // 3 if r == 0 else (k + 1) // 3
-        if dim >= 0:
-            yield (combo, dim)
+        yield (combo, sum(critical_string(len(path)).count("1") for path in paths))
 
 
 def critical_counts(n, p, q):
@@ -438,3 +432,46 @@ def verify_acyclic(n, p, q):
     except BrokenPairing:
         return False
     return True
+
+
+def check_corner_set(corners, board):
+    """Raise AssertionError unless the pairing is a discrete gradient on the
+    cells whose apex is corners, a sorted or labeled corner tuple.
+
+    There are as many cells as independent sets of the apex graph's paths
+    (a product of Fibonacci numbers).  Each matched cell's partner keeps
+    the apex, is one dimension up or down, is matched back to the cell,
+    and the lower of the two is a facet of the higher.  At most one cell
+    is critical; it has no 2x2 piece and dimension at most min(n, pq // 3).
+    The apex graph's half-squares pass apexgraph.check_half_squares.
+    """
+    p, q = board
+    graph = ApexGraph(corners, board)
+    cells = grid.cells_with_apex(graph.apex)
+    assert graph.independent_set_count() == len(cells), (
+        f"Fibonacci count: apex {graph.apex} has {len(cells)} cells,"
+        f" {graph.independent_set_count()} independent sets"
+    )
+    critical = []
+    for cell in cells:
+        status, partner = cell_status(cell)
+        if status == "critical":
+            critical.append(cell)
+            continue
+        assert grid.apex_of(partner) == graph.apex, "pairing changes the apex"
+        assert abs(cell_dim(partner) - cell_dim(cell)) == 1, "pairing dimensions"
+        assert match_cell(partner) == cell, "pairing is not an involution"
+        low, high = sorted((cell, partner), key=cell_dim)
+        assert any(f == low for f, _ in boundary(high)), (
+            "paired cell is not a facet of its partner"
+        )
+    assert len(critical) <= 1, f"apex {graph.apex} has {len(critical)} critical cells"
+    for cell in critical:
+        assert not any(pc.left and pc.down for pc in cell), (
+            f"critical cell {cell} has a 2x2 piece"
+        )
+        assert cell_dim(cell) <= min(len(cell), p * q // 3), (
+            f"critical cell {cell} has dimension {cell_dim(cell)},"
+            f" above min(n, pq // 3)"
+        )
+    check_half_squares(graph, p, q)

@@ -167,21 +167,13 @@ def _identity_cells(n, p, q):
         yield from grid.cells_with_apex(combo)
 
 
-def _check_d2(cell):
-    acc = {}
-    for facet, s in grid.boundary(cell):
-        for f2, s2 in grid.boundary(facet):
-            acc[f2] = acc.get(f2, 0) + s * s2
-    return not any(acc.values())
-
-
 def test_criterion_5_property_suites():
     failures = []
     rng = random.Random(2024)
 
-    # cubical d2 = 0: every cell of every instance up to 250k cells, and
-    # one labeled representative per relabeling class beyond that (complete
-    # by the relabel sign law, itself checked below)
+    # cubical d2 = 0 and valid facets: every cell of every instance up to
+    # 250k cells, and one labeled representative per relabeling class
+    # beyond that (complete by the relabel sign law, itself checked below)
     for n in range(2, 5):
         for p in range(1, 5):
             for q in range(p, 5):
@@ -191,8 +183,12 @@ def test_criterion_5_property_suites():
                     if total <= 250_000
                     else _identity_cells(n, p, q)
                 )
-                if not all(_check_d2(c) for c in cells if grid.cell_dim(c) >= 2):
-                    failures.append(f"cubical d2 failed on {(n, p, q)}")
+                try:
+                    for cell in cells:
+                        if grid.cell_dim(cell) >= 2:
+                            grid.check_cell(cell)
+                except AssertionError as exc:
+                    failures.append(f"cubical check failed on {(n, p, q)}: {exc}")
 
     # relabel sign law, random labeled cells on the large boards
     for _ in range(300):
@@ -202,9 +198,10 @@ def test_criterion_5_property_suites():
         cells = [c for c in grid.cells_with_apex(apex) if grid.cell_dim(c) >= 2]
         if not cells:
             continue
-        cell = rng.choice(cells)
-        if not _check_d2(cell):
-            failures.append(f"cubical d2 failed on a random labeled cell {cell}")
+        try:
+            grid.check_cell(rng.choice(cells))
+        except AssertionError as exc:
+            failures.append(f"cubical check failed on a random labeled cell: {exc}")
             break
 
     # morse d2 = 0 for every instance with n <= 4, p,q <= 4
@@ -223,7 +220,8 @@ def test_criterion_5_property_suites():
                 if not morse.verify_acyclic(n, p, q):
                     failures.append(f"closed V-path in {(n, p, q)}")
 
-    # apex graphs: path structure, Fibonacci counts, pairing, half-squares
+    # apex graphs: path degrees, the gradient on each corner set (Fibonacci
+    # counts, pairing, critical cells, half-squares) and equivariance
     for p in range(1, 5):
         for q in range(p, 5):
             squares = grid.board_squares(p, q)
@@ -233,9 +231,6 @@ def test_criterion_5_property_suites():
                 perms = list(itertools.permutations(range(n)))
                 for combo in itertools.combinations(squares, n):
                     graph = ApexGraph(combo, (p, q))
-                    cells = grid.cells_with_apex(combo)
-                    if graph.independent_set_count() != len(cells):
-                        failures.append(f"count mismatch at {combo} on {(p, q)}")
                     degree = {}
                     for a, b in graph.edges:
                         degree[a] = degree.get(a, 0) + 1
@@ -243,30 +238,12 @@ def test_criterion_5_property_suites():
                     if any(d > 2 for d in degree.values()):
                         failures.append(f"degree above 2 at {combo}")
                     try:
-                        check_allocation(graph, p, q)
+                        morse.check_corner_set(combo, (p, q))
                     except AssertionError as exc:
-                        failures.append(f"half-squares at {combo}: {exc}")
-                    criticals = 0
-                    for cell in cells:
-                        status, partner = morse.cell_status(cell)
-                        if status == "critical":
-                            criticals += 1
-                            if any(pc.left and pc.down for pc in cell):
-                                failures.append(f"critical 2x2 piece in {cell}")
-                            if grid.cell_dim(cell) > min(n, (p * q) // 3):
-                                failures.append(f"critical dim too big: {cell}")
-                            continue
-                        if grid.apex_of(partner) != grid.apex_of(cell):
-                            failures.append(f"pair changes apex at {cell}")
-                        if abs(grid.cell_dim(partner) - grid.cell_dim(cell)) != 1:
-                            failures.append(f"pair dim gap at {cell}")
-                        if morse.match_cell(partner) != cell:
-                            failures.append(f"pairing not an involution at {cell}")
-                    if criticals > 1:
-                        failures.append(f"{criticals} critical cells at {combo}")
+                        failures.append(f"corner set {combo} on {(p, q)}: {exc}")
                     # equivariance on the representative labeling is enough:
                     # relabelings of these cells exhaust all labeled cells
-                    for cell in cells:
+                    for cell in grid.cells_with_apex(combo):
                         partner = morse.match_cell(cell)
                         for perm in perms:
                             image = morse.match_cell(grid.relabel(cell, perm))
@@ -298,25 +275,13 @@ def test_criterion_5_property_suites():
             [(squares45, (4, 5)), (squares55, (5, 5))]
         )
         apex = tuple(rng.sample(squares, 5))
-        cells = grid.cells_with_apex(apex)
-        graph = ApexGraph(apex, board)
-        if graph.independent_set_count() != len(cells):
-            failures.append(f"n=5 count mismatch at {apex}")
+        cell = rng.choice(grid.cells_with_apex(apex))
         try:
-            check_allocation(graph, *board)
+            morse.check_corner_set(apex, board)
+            grid.check_cell(cell)
         except AssertionError as exc:
-            failures.append(f"n=5 half-squares at {apex}: {exc}")
-        cell = rng.choice(cells)
-        status, partner = morse.cell_status(cell)
-        if status != "critical":
-            if (
-                morse.match_cell(partner) != cell
-                or grid.apex_of(partner) != grid.apex_of(cell)
-                or abs(grid.cell_dim(partner) - grid.cell_dim(cell)) != 1
-            ):
-                failures.append(f"n=5 pairing broke at {cell}")
-        if grid.cell_dim(cell) >= 2 and not _check_d2(cell):
-            failures.append(f"n=5 d2 broke at {cell}")
+            failures.append(f"n=5 check failed at {apex}: {exc}")
+        graph = ApexGraph(apex, board)
         bits = graph.encode(cell)
         if graph.decode(bits) != cell:
             failures.append(f"n=5 encode/decode broke at {cell}")
@@ -328,19 +293,6 @@ def test_criterion_5_property_suites():
         " counts, pairing, equivariance, half-squares, bounds, euler)"
         + (f"; failures: {failures[:5]}" if failures else ""),
     )
-
-
-def check_allocation(graph, p, q):
-    alloc = graph.half_squares()
-    seen = set()
-    for path in graph.paths:
-        for pos, i in enumerate(path):
-            hs = alloc[graph.vertices[i]]
-            expected = 2 + (pos == 0) + (pos == len(path) - 1)
-            assert len(hs) == expected, "cardinality"
-            assert not (hs & seen), "overlap"
-            seen |= hs
-    assert len(seen) <= 2 * p * q, "area"
 
 
 def test_criterion_6_stabilization():

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hardsquares import grid
-from hardsquares.apexgraph import ApexGraph, fibonacci, path_structure
+from hardsquares.apexgraph import ApexGraph, check_half_squares, fibonacci, path_structure
 from hardsquares.grid import Piece
 
 
@@ -174,12 +174,10 @@ def test_fibonacci():
 
 def test_half_squares_singleton_example():
     g = ApexGraph(((2, 2),), (2, 2))
-    alloc = g.half_squares()
     assert [len(p) for p in g.paths] == [1, 1]
-    sets = list(alloc.values())
-    assert all(len(hs) == 4 for hs in sets)
-    assert not (sets[0] & sets[1])
-    assert len(sets[0] | sets[1]) == 8  # total area 4 = board area
+    check_half_squares(g, 2, 2)  # 4 half-squares each, disjoint
+    a, b = g.half_squares().values()
+    assert len(a | b) == 8  # total area 4 = board area
 
 
 def test_half_squares_exhaustive():
@@ -197,21 +195,6 @@ def test_half_squares_random_larger():
         n = rng.randint(1, 6)
         combo = tuple(sorted(rng.sample(squares, n)))
         check_half_squares(ApexGraph(combo, (5, 5)), 5, 5)
-
-
-def check_half_squares(g, p, q):
-    alloc = g.half_squares()
-    seen = set()
-    for path in g.paths:
-        for pos, i in enumerate(path):
-            hs = alloc[g.vertices[i]]
-            expected = 2 + (pos == 0) + (pos == len(path) - 1)
-            assert len(hs) == expected
-            assert not (hs & seen)
-            for c, r, half in hs:
-                assert 1 <= c <= p and 1 <= r <= q and half in ("ul", "lr")
-            seen |= hs
-    assert len(seen) <= 2 * p * q
 
 
 def test_graph_validation():

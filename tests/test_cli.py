@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hardsquares import cli, grid, morse, oracle, parallel
+from hardsquares.apexgraph import ApexGraph
 from hardsquares.config import load_config
 
 
@@ -211,7 +212,9 @@ def test_table_out_unwritable_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as err:
         cli.main(["table", "--max-n", "2", "--out", str(target)])
     assert err.value.code == 2
-    assert f"argument --out: cannot write '{target}'" in capsys.readouterr().err
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("usage: hardsquares table ")
+    assert f"argument --out: cannot write '{target}'" in stderr
 
 
 def test_table_out_file(capsys, tmp_path):
@@ -314,6 +317,35 @@ def test_verify_reports_failure(capsys, monkeypatch):
         " direct route gives (1, 2), morse route gives None",
     ]
 
+    # a sign flipped in each boundary, and one option's half-squares moved
+    # off the board with their number and disjointness kept
+    boundary, half_squares = grid.boundary, ApexGraph.half_squares
+
+    def flipped(cell):
+        out = boundary(cell)
+        return [(out[0][0], -out[0][1])] + out[1:] if out else out
+
+    def moved(graph):
+        alloc = half_squares(graph)
+        if alloc:
+            v = graph.vertices[0]
+            alloc[v] = frozenset((c + 100, r, half) for c, r, half in alloc[v])
+        return alloc
+
+    for owner, name, broken, failure in (
+        (grid, "boundary", flipped, "FAIL: cubical complex (f-vector, valid facets,"
+         " d o d = 0): d o d != 0 at (Piece(col=1, row=2, left=0, down=1),"
+         " Piece(col=2, row=2, left=0, down=1))"),
+        (ApexGraph, "half_squares", moved, "FAIL: apex structure (Fibonacci"
+         " counts, pairing, half-squares): half-square off the board at"
+         " ((1, 1), (2, 2))"),
+    ):
+        monkeypatch.undo()
+        monkeypatch.setattr(owner, name, broken)
+        code, out, _ = run(capsys, "verify", "--n", "2", "--p", "2", "--q", "2")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL:")] == [failure]
+
 
 def test_verify_walks_each_structure_once(capsys, monkeypatch):
     calls = {"enumerate_cells": 0, "cells_with_apex": 0}
@@ -324,8 +356,9 @@ def test_verify_walks_each_structure_once(capsys, monkeypatch):
         return enumerate_cells(*args)
 
     def counted_apex_cells(*args):
-        # the enumeration calls it once per labeled apex; count verify's calls
-        if sys._getframe(1).f_globals["__name__"] == cli.__name__:
+        # the enumeration calls it once per labeled apex; count the apex
+        # check's calls
+        if sys._getframe(1).f_globals["__name__"] == morse.__name__:
             calls["cells_with_apex"] += 1
         return cells_with_apex(*args)
 
@@ -366,10 +399,16 @@ def test_inspect_corners_errors_name_the_flag(capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "argument --corners: " in captured.err, text
     # well-formed pairs that are not an apex of the board: ApexGraph refuses
-    for text, message in (("3,1", "off the 2x2 board"), ("1,1;1,1", "distinct")):
+    for text, message in (
+        ("3,1", "argument --corners: corner (3, 1) off the 2x2 board"),
+        ("9,9", "argument --corners: corner (9, 9) off the 2x2 board"),
+        ("1,1;1,1", "argument --corners: apex corners must be pairwise distinct"),
+    ):
         with pytest.raises(SystemExit) as err:
             cli.main(base + [text])
-        assert err.value.code == 2 and message in capsys.readouterr().err
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: hardsquares inspect ") and message in stderr
 
 
 def test_config_file(capsys, tmp_path):
@@ -486,7 +525,8 @@ def test_bad_config_exit_2(capsys, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(argv + [str(path)])
         assert err.value.code == 2
-        assert message in capsys.readouterr().err
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: hardsquares fvector ") and message in stderr
 
 
 def test_unknown_config_key_exit_2(capsys, tmp_path):

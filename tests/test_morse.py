@@ -104,18 +104,7 @@ def test_match_cell_equivariance_random_larger():
 def test_pairing_properties_exhaustive():
     for n, p, q in [(2, 2, 2), (2, 2, 3), (3, 2, 3), (3, 3, 3), (2, 1, 4)]:
         for combo in itertools.combinations(grid.board_squares(p, q), n):
-            criticals = 0
-            for cell in grid.cells_with_apex(combo):
-                status, partner = morse.cell_status(cell)
-                if status == "critical":
-                    criticals += 1
-                    continue
-                assert grid.apex_of(partner) == grid.apex_of(cell)
-                assert abs(grid.cell_dim(partner) - grid.cell_dim(cell)) == 1
-                assert morse.match_cell(partner) == cell
-                low, high = sorted((cell, partner), key=grid.cell_dim)
-                assert any(f == low for f, _ in grid.boundary(high))
-            assert criticals <= 1
+            morse.check_corner_set(combo, (p, q))
 
 
 def test_critical_cell_for():
