@@ -97,10 +97,6 @@ def cached_structure(corners):
     return path_structure(corners)
 
 
-def path_lengths(corners):
-    return [len(path) for path in path_structure(corners)]
-
-
 @lru_cache(maxsize=None)
 def fibonacci(k):
     "F(1) = F(2) = 1."

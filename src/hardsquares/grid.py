@@ -10,8 +10,12 @@ complex exactly when no two pieces share a board square; its dimension
 
 This module provides the cell encoding, membership predicates, the signed
 cubical boundary, deterministic apex-major enumeration, and f-vectors.
-It owns the complex's structural check, check_cell: the facets of a cell
-are cells, and d o d = 0 on it.
+The f-vector never lists corner sets: the option graph of a corner set is
+a union of paths along the anti-diagonals c + r = d (board_diagonals), so
+a transfer from diagonal to diagonal sums the products of their path
+polynomials, one transfer per pool chunk.  The module owns the complex's
+structural check, check_cell: the facets of a cell are cells, and
+d o d = 0 on it.
 """
 
 from __future__ import annotations
@@ -172,6 +176,14 @@ def board_squares(p, q):
     return [(c, r) for c in range(1, p + 1) for r in range(1, q + 1)]
 
 
+def board_diagonals(p, q):
+    """The squares of each anti-diagonal c + r = d, d = 2 .. p + q, by column."""
+    return [
+        [(c, d - c) for c in range(max(1, d - q), min(p, d - 1) + 1)]
+        for d in range(2, p + q + 1)
+    ]
+
+
 def enumerate_apexes(n, p, q):
     """All labeled apexes: injective n-tuples of board squares, lex order."""
     return itertools.permutations(board_squares(p, q), n)
@@ -245,30 +257,65 @@ def _path_poly(k):
     return tuple(math.comb(k - m + 1, m) for m in range(0, (k + 1) // 2 + 1))
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
+def _poly_add_mul(acc, a, b):
+    "acc += a * b on coefficient lists, lengthening acc as needed."
+    size = len(a) + len(b) - 1
+    if len(acc) < size:
+        acc.extend([0] * (size - len(acc)))
     for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        for j, y in enumerate(b, i):
+            acc[j] += x * y
+
+
+def _poly_mul(a, b):
+    out = []
+    _poly_add_mul(out, a, b)
     return out
 
 
 def _fvector_chunk(args):
-    "Cell counts by dimension over corner sets starting at one fixed square."
-    n, p, q, first = args
-    from .apexgraph import path_lengths
+    """Cell counts by dimension over the corner sets whose lexicographically
+    smallest square is squares[first], squares = board_squares(p, q).
 
-    squares = board_squares(p, q)
+    A transfer over the anti-diagonals c + r = d (board_diagonals).  The
+    paths of diagonal d depend only on the squares of diagonals d - 2 .. d
+    (apexgraph.diagonal_paths), so a state is the occupied squares of the
+    last two diagonals, and it holds, by the number of squares placed, the
+    sum over its partial corner sets of the product of their path
+    polynomials.  Each step places a subset of the next diagonal's squares
+    that come lexicographically after squares[first], together with
+    squares[first] itself on its own diagonal, and never more than n
+    squares in all.
+    """
+    n, p, q, first = args
+    from .apexgraph import diagonal_paths
+
+    start = board_squares(p, q)[first]
+    # (squares of diagonal d - 1, squares of diagonal d) -> {placed: polynomial}
+    states = {((), ()): {0: [1]}}
+    for diagonal in board_diagonals(p, q):
+        forced = (start,) if start in diagonal else ()
+        free = [s for s in diagonal if s > start]
+        step = {}
+        for (older, old), by_placed in states.items():
+            fewest = min(by_placed)
+            for k in range(len(free) + 1):
+                if fewest + len(forced) + k > n:
+                    break
+                for extra in itertools.combinations(free, k):
+                    chosen = forced + extra
+                    factor = [1]
+                    for path in diagonal_paths(chosen, {*older, *old, *chosen}):
+                        factor = _poly_mul(factor, _path_poly(len(path)))
+                    target = step.setdefault((old, chosen), {})
+                    for placed, poly in by_placed.items():
+                        placed += len(chosen)
+                        if placed <= n:
+                            _poly_add_mul(target.setdefault(placed, []), poly, factor)
+        states = step
     total = [0]
-    for rest in itertools.combinations(range(first + 1, len(squares)), n - 1):
-        corners = [squares[first]] + [squares[i] for i in rest]
-        poly = [1]
-        for k in path_lengths(corners):
-            poly = _poly_mul(poly, _path_poly(k))
-        if len(poly) > len(total):
-            total.extend([0] * (len(poly) - len(total)))
-        for i, x in enumerate(poly):
-            total[i] += x
+    for by_placed in states.values():
+        _poly_add_mul(total, by_placed.get(n, ()), (1,))
     return total
 
 
@@ -276,8 +323,10 @@ def f_vector(n, p, q, threads=1):
     """Cell counts of the hard-squares complex by dimension.
 
     Counts per apex via the path decomposition of its conflict graph, so
-    the complex itself is never materialized.  Unordered corner sets are
-    counted once and scaled by n!.
+    the complex itself is never materialized: the cells of one corner set
+    are counted by the product of its path polynomials.  Unordered corner
+    sets are counted once and scaled by n!.  One pool job per smallest
+    square, each an anti-diagonal transfer (_fvector_chunk).
     """
     if n > p * q:
         return ()
@@ -286,13 +335,9 @@ def f_vector(n, p, q, threads=1):
     from .parallel import pmap
 
     jobs = [(n, p, q, first) for first in range(0, p * q - n + 1)]
-    chunks = pmap(_fvector_chunk, jobs, threads)
     total = [0]
-    for part in chunks:
-        if len(part) > len(total):
-            total.extend([0] * (len(part) - len(total)))
-        for i, x in enumerate(part):
-            total[i] += x
+    for part in pmap(_fvector_chunk, jobs, threads):
+        _poly_add_mul(total, part, (1,))
     scale = math.factorial(n)
     while total and total[-1] == 0:
         total.pop()

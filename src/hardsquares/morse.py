@@ -26,7 +26,7 @@ from functools import lru_cache
 
 from . import grid
 from .apexgraph import ApexGraph, cached_structure, check_half_squares, diagonal_paths
-from .grid import Piece, boundary, cell_dim, relabel, relabel_sign
+from .grid import Piece, board_diagonals, boundary, cell_dim, relabel, relabel_sign
 from .homology import ChainComplex, betti, validate_d2
 from .oracle import DEFAULT_CELL_CAP, CellCapExceeded
 
@@ -135,10 +135,7 @@ def _diagonal_search(n, p, q):
     vertices, and a branch stops when fewer squares remain than pieces to
     place.
     """
-    diagonals = [
-        [(c, d - c) for c in range(max(1, d - q), min(p, d - 1) + 1)]
-        for d in range(2, p + q + 1)
-    ]
+    diagonals = board_diagonals(p, q)
     # room[i]: the squares of diagonals i and later
     room = [sum(map(len, diagonals[i:])) for i in range(len(diagonals) + 1)]
     occupied = set()

@@ -124,6 +124,24 @@ def test_betti_morse_cap_refuses_promptly(capsys, monkeypatch):
     assert "has 8809920 cells, over the cap of 2000000" in err
 
 
+def test_betti_direct_cap_refuses_promptly(capsys):
+    # C(36, 6) is about 1.9M corner sets; the f-vector must not list them
+    def hung(signum, frame):
+        raise TimeoutError("the cap refusal still runs after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        code, out, err = run(
+            capsys, "betti", "--method", "direct", "--n", "6", "--p", "6", "--q", "6"
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 3 and out == ""
+    assert "has 597756061440 cells, over the cap" in err
+
+
 def test_broken_pairing_exit_1(capsys, monkeypatch):
     def cyclic(args):
         raise morse.BrokenPairing("closed V-path through a test cell")
@@ -143,6 +161,18 @@ def test_fvector_command(capsys):
     assert out == "4 4 1\n"
     code, out, _ = run(capsys, "fvector", "--n", "6", "--p", "3", "--q", "3")
     assert out == "60480 181440 161280 40320\n"
+
+
+def test_fvector_666_at_each_thread_count(capsys):
+    for threads in ("1", "2"):
+        code, out, _ = run(
+            capsys, "fvector", "--n", "6", "--p", "6", "--q", "6", "--threads", threads
+        )
+        assert code == 0 and out == (
+            "1402410240 12020659200 45620294400 100973174400 144484300800"
+            " 140015416320 93581359200 43107131520 13447673280 2738327040"
+            " 341288640 23322240 704160\n"
+        ), threads
 
 
 def test_critical_command(capsys, tmp_path):

@@ -3,10 +3,18 @@ import math
 import operator
 import random
 
-from hardsquares import grid
+from hardsquares import grid, morse
 from hardsquares.grid import Piece
 
 from reference import FVECTORS
+
+
+# the f-vector of (6,6,6), as the per-corner-set count gave it
+F666 = (
+    1402410240, 12020659200, 45620294400, 100973174400, 144484300800,
+    140015416320, 93581359200, 43107131520, 13447673280, 2738327040,
+    341288640, 23322240, 704160,
+)
 
 
 def arr(*pieces):
@@ -150,8 +158,27 @@ def test_facets_come_before_their_cell():
 
 def test_f_vector_against_reference():
     for (n, p, q), expected in FVECTORS.items():
-        if sum(expected) <= 60_000:
-            assert grid.f_vector(n, p, q) == expected
+        assert grid.f_vector(n, p, q) == expected, (n, p, q)
+
+
+def euler(counts):
+    return sum(x if i % 2 == 0 else -x for i, x in enumerate(counts))
+
+
+def test_f_vector_beyond_the_brute_force():
+    # no reference lists these: the vertices are the injective placements,
+    # and the Euler characteristic is that of the Morse complex
+    for (n, p, q), chi in {
+        (6, 6, 6): 0,
+        (6, 5, 6): 720,
+        (7, 4, 5): -5040,
+        (8, 4, 4): 80640,
+    }.items():
+        fv = grid.f_vector(n, p, q)
+        assert fv[0] == math.perm(p * q, n), (n, p, q)
+        assert euler(fv) == euler(morse.critical_counts(n, p, q)) == chi, (n, p, q)
+        if (n, p, q) == (6, 6, 6):
+            assert fv == F666
 
 
 def test_f_vector_matches_enumeration():

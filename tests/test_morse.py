@@ -5,7 +5,7 @@ import signal
 import pytest
 
 from hardsquares import grid, morse, oracle, parallel
-from hardsquares.apexgraph import ApexGraph, path_lengths, path_strings
+from hardsquares.apexgraph import ApexGraph, cached_structure, path_strings
 from hardsquares.grid import Piece
 from hardsquares.homology import rank
 
@@ -185,7 +185,7 @@ def test_critical_cells_have_no_2x2_and_no_isolated_vertex():
             cell = morse.critical_cell_for(corners, (p, q))
             assert all(not (pc.left and pc.down) for pc in cell)
             assert dim <= n and 3 * dim <= area
-            assert all(k != 1 for k in path_lengths(corners))
+            assert all(len(path) != 1 for path in cached_structure(corners))
 
 
 def test_morse_boundary_of_zero_cell():

@@ -26,11 +26,18 @@ the free coordinates in x1,y1,...,xn,yn order, and relabeling with its
 sign against the cocycle law that makes it a right action of S_n:
 relabeling by g then h is relabeling by gh, gh[k] = g[h[k]], and the
 signs multiply.
+
+grid._fvector_chunk, a transfer over the anti-diagonals, is checked
+against the plain sum over its corner sets, one product of path
+polynomials each, on every chunk of the census boards (2 <= p <= q <= 5),
+one-row and one-column boards up to length 6 and the transposed boards
+q < p <= 4, for n up to 6 and for n = pq - 1 and n = pq.
 """
 
 from collections import deque
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import comb
 from operator import itemgetter
 
 import pytest
@@ -40,6 +47,7 @@ from hypothesis import given, settings, strategies as st
 
 import shared
 from hardsquares import grid, oracle
+from hardsquares.apexgraph import path_structure
 from hardsquares.homology import ChainComplex, SparseMatrix, betti, rank, trim
 from hardsquares.reduce import reduce_complex
 
@@ -357,3 +365,44 @@ def test_reduce_matches_dict_reference_on_morse_restrictions(board):
     cc = shared.morse_complex(4, 4, 4).restrict(*board).chain_complex()
     assert_same_reduction(cc.counts, column_stream(cc))
 
+
+
+def reference_fvector_chunk(n, p, q, first):
+    "The corner sets starting at squares[first] one by one, each a product of path polynomials."
+    squares = grid.board_squares(p, q)
+    total = [0]
+    for rest in combinations(squares[first + 1 :], n - 1):
+        poly = [1]
+        for path in path_structure((squares[first],) + rest):
+            k = len(path)
+            # k-vertex path: comb(k - m + 1, m) independent sets of size m
+            path_poly = [comb(k - m + 1, m) for m in range((k + 1) // 2 + 1)]
+            product_poly = [0] * (len(poly) + len(path_poly) - 1)
+            for i, x in enumerate(poly):
+                for j, y in enumerate(path_poly):
+                    product_poly[i + j] += x * y
+            poly = product_poly
+        total.extend([0] * (len(poly) - len(total)))
+        for i, x in enumerate(poly):
+            total[i] += x
+    return total
+
+
+FVECTOR_BOARDS = sorted(
+    {(p, q) for p in range(2, 6) for q in range(p, 6)}  # census boards
+    | {(1, k) for k in range(1, 7)}
+    | {(k, 1) for k in range(1, 7)}
+    | {(p, q) for p in range(2, 5) for q in range(1, p)}  # transposed
+)
+
+
+@pytest.mark.parametrize("board", FVECTOR_BOARDS, ids="{0[0]}x{0[1]}".format)
+def test_fvector_chunk_matches_plain_enumeration(board):
+    p, q = board
+    area = p * q
+    sizes = set(range(1, min(6, area) + 1)) | {area - 1, area}
+    for n in sorted(sizes - {0}):
+        for first in range(area - n + 1):
+            assert grid._fvector_chunk((n, p, q, first)) == reference_fvector_chunk(
+                n, p, q, first
+            ), (n, p, q, first)
