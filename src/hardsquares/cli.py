@@ -170,6 +170,7 @@ def cmd_table(parser, args, cfg):
 
 def cmd_export(parser, args, cfg):
     n, p, q = args.n, args.p, args.q
+    write = sys.stdout.write
     if args.format == "vertex-list":
         count = math.perm(p * q, n)
         if count > cfg.vertex_cap:
@@ -179,14 +180,15 @@ def cmd_export(parser, args, cfg):
                 file=sys.stderr,
             )
             return EXIT_CAP
-        write = sys.stdout.write
         for combo in grid.enumerate_apexes(n, p, q):
             write(" ".join(f"{c} {r}" for c, r in combo))
             write("\n")
     else:
         oracle.check_cap(n, p, q, cfg.cell_cap)
-        json.dump(grid.cells_json(n, p, q), sys.stdout)
-        sys.stdout.write("\n")
+        write("[")  # the text json.dump gives the whole list, a cell at a time
+        for i, cell in enumerate(grid.enumerate_cells(n, p, q)):
+            write((", " if i else "") + json.dumps({"id": i, **grid.cell_json(cell)}))
+        write("]\n")
     return 0
 
 

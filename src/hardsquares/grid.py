@@ -360,9 +360,3 @@ def cell_json(cell):
     """JSON-ready form of one cell: {pieces: [[col, row, left, down], ...], dim}."""
     pieces = [[pc.col, pc.row, pc.left, pc.down] for pc in cell]
     return {"pieces": pieces, "dim": cell_dim(cell)}
-
-
-def cells_json(n, p, q):
-    """JSON-ready dump of the complex: [{id, pieces, dim}, ...]."""
-    cells = enumerate_cells(n, p, q)
-    return [{"id": i, **cell_json(cell)} for i, cell in enumerate(cells)]

@@ -8,8 +8,8 @@ numbers.  One elimination serves every field: rank reduces columns in id
 order, pivoting on the highest row, and betti_of_stream ranks the
 degrees from the top down so that columns known to reduce to zero are
 skipped (clearing).  Pivots are chosen by fixed rules, so results are
-deterministic.  Nothing here checks that the boundary squares to zero
-except validate_d2, which the Morse build runs once per complex.
+deterministic.  Only validate_d2 checks that the boundary squares to
+zero, one column of d_j at a time; the Morse build runs it once.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ class ChainComplex(NamedTuple):
 
 
 def parse_field(spec):
-    """Normalize a field name, in any case: "gf<p>" with p prime, or "rational"."""
+    """Normalize a field name, in any case: "gf<p>" with p prime, or "rational".
+
+    p must be below 2**64, where the Miller-Rabin test of _is_prime is exact.
+    """
     text = spec.lower()
     if text in ("rational", "q"):
         return ("rational", 0)
@@ -57,10 +60,37 @@ def parse_field(spec):
             p = int(text[2:])
         except ValueError:
             raise ValueError(f"unknown field {spec!r}") from None
-        if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        if p >= 2**64:
+            raise ValueError(f"{p} is not below the limit 2**64 for gf<p>")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         return ("gf", p)
     raise ValueError(f"unknown field {spec!r}")
+
+
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p):
+    "Deterministic Miller-Rabin on the prime bases 2 to 37: exact for p < 3.18e23."
+    if p < 2:
+        return False
+    if p in _PRIME_BASES:
+        return True
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 _col = itemgetter(1)
@@ -159,22 +189,24 @@ def _int_column(entries, pivots, _):
 
 
 def validate_d2(cc):
-    """Raise if the composite of consecutive boundary maps is nonzero."""
+    """Raise at the first nonzero entry of a composite d_{j-1} d_j.
+
+    d_j is walked one column at a time, sorted by column as in rank, and
+    each column's image under d_{j-1} is summed in a dict of its own."""
     for j in range(2, len(cc.counts)):
         cols = {}
         for r, c, v in cc.boundaries[j - 1]:
             cols.setdefault(c, []).append((r, v))
-        acc = {}
-        for r, c, v in cc.boundaries[j]:
-            for r2, v2 in cols.get(r, ()):
-                key = (r2, c)
-                acc[key] = acc.get(key, 0) + v * v2
-        bad = {k: v for k, v in acc.items() if v}
-        if bad:
-            some = next(iter(bad.items()))
-            raise AssertionError(
-                f"d o d != 0 between degrees {j} and {j - 2}: entry {some}"
-            )
+        for c, entries in groupby(sorted(cc.boundaries[j], key=_col), _col):
+            image = {}
+            for r, _, v in entries:
+                for r2, v2 in cols.get(r, ()):
+                    image[r2] = image.get(r2, 0) + v * v2
+            for r2, v in image.items():
+                if v:
+                    raise AssertionError(
+                        f"d o d != 0 between degrees {j} and {j - 2}: entry {((r2, c), v)}"
+                    )
 
 
 def euler(numbers):

@@ -1,5 +1,8 @@
-"""Session-wide caches so expensive builds run once across test modules."""
+"""Session-wide caches so expensive builds run once across test modules,
+and a SIGALRM guard for tests that must finish promptly."""
 
+import signal
+from contextlib import contextmanager
 from functools import lru_cache
 
 from hardsquares import morse, oracle
@@ -18,3 +21,19 @@ def morse_betti(n, p, q, field="gf2"):
 @lru_cache(maxsize=None)
 def direct_betti(n, p, q, field="gf2"):
     return oracle.direct_betti(n, p, q, field)
+
+
+@contextmanager
+def deadline(seconds, message):
+    "Raise TimeoutError(message) if the block still runs after seconds."
+
+    def hung(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

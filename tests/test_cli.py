@@ -1,7 +1,7 @@
+import io
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 
@@ -10,6 +10,8 @@ import pytest
 from hardsquares import cli, grid, morse, oracle, parallel
 from hardsquares.apexgraph import ApexGraph
 from hardsquares.config import load_config
+
+import shared
 
 
 def run(capsys, *argv):
@@ -54,6 +56,16 @@ def test_betti_field_flag(capsys):
     with pytest.raises(SystemExit) as err:
         run(capsys, "betti", "--n", "2", "--p", "2", "--q", "2", "--field", "gf6")
     assert err.value.code == 2
+
+
+def test_betti_over_a_large_prime_field_promptly(capsys):
+    # 2**61 - 1 is prime; argparse and betti both check it
+    with shared.deadline(5, "betti over gf(2**61 - 1) still runs after 5 s"):
+        code, out, _ = run(
+            capsys, "betti", "--n", "2", "--p", "2", "--q", "2",
+            "--field", "gf2305843009213693951",
+        )
+    assert code == 0 and out.splitlines()[0] == "1 1"
 
 
 def test_invalid_args_exit_2(capsys):
@@ -108,17 +120,9 @@ def test_betti_morse_cap_refuses_promptly(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a build over the cap must stop before any flow")
 
-    def hung(signum, frame):
-        raise TimeoutError("the cap refusal still runs after 10 s")
-
     monkeypatch.setattr(parallel, "pmap", no_pool)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(10)
-    try:
+    with shared.deadline(10, "the cap refusal still runs after 10 s"):
         code, out, err = run(capsys, "betti", "--n", "7", "--p", "7", "--q", "7")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     # 1,748 critical corner sets times 7! labelings
     assert code == 3 and out == ""
     assert "has 8809920 cells, over the cap of 2000000" in err
@@ -126,18 +130,10 @@ def test_betti_morse_cap_refuses_promptly(capsys, monkeypatch):
 
 def test_betti_direct_cap_refuses_promptly(capsys):
     # C(36, 6) is about 1.9M corner sets; the f-vector must not list them
-    def hung(signum, frame):
-        raise TimeoutError("the cap refusal still runs after 10 s")
-
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(10)
-    try:
+    with shared.deadline(10, "the cap refusal still runs after 10 s"):
         code, out, err = run(
             capsys, "betti", "--method", "direct", "--n", "6", "--p", "6", "--q", "6"
         )
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 3 and out == ""
     assert "has 597756061440 cells, over the cap" in err
 
@@ -313,8 +309,41 @@ def test_export_complex_json(capsys):
         capsys, "export", "--n", "1", "--p", "2", "--q", "2", "--format", "complex-json"
     )
     assert code == 0
-    data = json.loads(out)
-    assert data == grid.cells_json(1, 2, 2)
+    expected = [
+        {"id": i, **grid.cell_json(cell)}
+        for i, cell in enumerate(grid.enumerate_cells(1, 2, 2))
+    ]
+    assert out == json.dumps(expected) + "\n"
+    cells = json.loads(out)
+    assert [c["id"] for c in cells] == list(range(9))
+    assert cells[0]["pieces"] == [[1, 1, 0, 0]]
+    assert list(cells[0]) == ["id", "pieces", "dim"]
+    assert sum(1 for c in cells if c["dim"] == 2) == 1
+    # n over the board area: no cells, and the empty list
+    code, out, _ = run(
+        capsys, "export", "--n", "3", "--p", "1", "--q", "2", "--format", "complex-json"
+    )
+    assert code == 0 and out == "[]\n"
+
+
+def test_export_complex_json_streams(monkeypatch):
+    # each cell is written as it is enumerated, not after the last one
+    out = io.StringIO()
+    written = []
+    enumerate_cells = grid.enumerate_cells
+
+    def recording(*args):
+        for cell in enumerate_cells(*args):
+            written.append(out.tell())
+            yield cell
+
+    monkeypatch.setattr(grid, "enumerate_cells", recording)
+    monkeypatch.setattr(sys, "stdout", out)
+    argv = ["export", "--n", "2", "--p", "2", "--q", "2", "--format", "complex-json"]
+    assert cli.main(argv) == 0
+    assert len(written) == sum(grid.f_vector(2, 2, 2))
+    assert written[-1] > 0
+    assert len(json.loads(out.getvalue())) == len(written)
 
 
 def test_verify_command(capsys):
@@ -507,6 +536,10 @@ def test_python_dash_m_runs_the_cli():
         ["fvector", "--n", "2", "--p", "2", "--q", "2"],
         ["table", "--max-n", "2"],
         ["export", "--n", "2", "--p", "2", "--q", "2", "--format", "vertex-list"],
+        pytest.param(
+            ["export", "--n", "2", "--p", "2", "--q", "2", "--format", "complex-json"],
+            id="export-complex-json",
+        ),
     ],
     ids=lambda argv: argv[0],
 )

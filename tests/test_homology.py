@@ -44,6 +44,15 @@ def test_parse_field():
         parse_field("gf1")
     with pytest.raises(ValueError):
         parse_field("float")
+    # decided promptly: trial division up to sqrt(p) would take hours here
+    with shared.deadline(2, "parse_field still runs after 2 s"):
+        assert parse_field("gf2305843009213693951") == ("gf", 2**61 - 1)
+    with shared.deadline(2, "parse_field still runs after 2 s"):
+        with pytest.raises(ValueError, match="not prime"):
+            parse_field(f"gf{998244353 * 1000000007}")
+    with shared.deadline(2, "parse_field still runs after 2 s"):
+        with pytest.raises(ValueError, match=r"limit 2\*\*64"):
+            parse_field(f"gf{2**64 + 1}")
 
 
 def test_rank_trivial():

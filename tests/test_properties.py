@@ -27,6 +27,12 @@ sign against the cocycle law that makes it a right action of S_n:
 relabeling by g then h is relabeling by gh, gh[k] = g[h[k]], and the
 signs multiply.
 
+validate_d2 is checked against dense products d_{j-1} d_j on random
+integer complexes and on signed cubical complexes with one boundary
+entry changed (mostly d o d != 0), and on the unchanged ones (d o d = 0):
+it raises exactly when some product is nonzero, at the lowest such
+degree, and names a nonzero entry of that product.
+
 grid._fvector_chunk, a transfer over the anti-diagonals, is checked
 against the plain sum over its corner sets, one product of path
 polynomials each, on every chunk of the census boards (2 <= p <= q <= 5),
@@ -34,6 +40,7 @@ one-row and one-column boards up to length 6 and the transposed boards
 q < p <= 4, for n up to 6 and for n = pq - 1 and n = pq.
 """
 
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -48,7 +55,7 @@ from hypothesis import given, settings, strategies as st
 import shared
 from hardsquares import grid, oracle
 from hardsquares.apexgraph import path_structure
-from hardsquares.homology import ChainComplex, SparseMatrix, betti, rank, trim
+from hardsquares.homology import ChainComplex, SparseMatrix, betti, rank, trim, validate_d2
 from hardsquares.reduce import reduce_complex
 
 SHAPES = ((1, 3), (2, 2), (3, 3), (1, 2, 2), (2, 2, 2))
@@ -192,6 +199,73 @@ def test_betti_unchanged_by_renumbering(cc, data):
     renumbered = ChainComplex(cc.counts, tris)
     for field in ("gf2", "gf3", "rational"):
         assert betti(renumbered, field) == betti(cc, field)
+
+
+@st.composite
+def integer_complexes(draw):
+    "Random boundary triples, values -2..2, a position possibly repeated."
+    counts = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
+    tris = [()]
+    for j in range(1, len(counts)):
+        entry = st.tuples(
+            st.integers(0, counts[j - 1] - 1), st.integers(0, counts[j] - 1), st.integers(-2, 2)
+        )
+        tris.append(tuple(draw(st.lists(entry, min_size=1, max_size=8))))
+    return ChainComplex(tuple(counts), tuple(tris))
+
+
+@st.composite
+def perturbed_cubical_complexes(draw):
+    "A signed cubical complex of dimension 2 or more, one boundary entry changed."
+    cc = draw(signed_cubical_complexes().filter(lambda cc: len(cc.counts) > 2))
+    tris = [list(t) for t in cc.boundaries]
+    j = draw(st.integers(1, len(tris) - 1))
+    k = draw(st.integers(0, len(tris[j]) - 1))
+    r, c, v = tris[j][k]
+    tris[j][k] = (r, c, draw(st.sampled_from([w for w in range(-3, 4) if w != v])))
+    return ChainComplex(cc.counts, tuple(map(tuple, tris)))
+
+
+def dense_composite(cc, j):
+    "The nonzero entries of the dense product d_{j-1} d_j, as {(row, col): value}."
+    low, mid, high = cc.counts[j - 2], cc.counts[j - 1], cc.counts[j]
+    a = [[0] * mid for _ in range(low)]
+    for r, c, v in cc.boundaries[j - 1]:
+        a[r][c] += v
+    b = [[0] * high for _ in range(mid)]
+    for r, c, v in cc.boundaries[j]:
+        b[r][c] += v
+    prod = {
+        (r, c): sum(a[r][k] * b[k][c] for k in range(mid))
+        for r in range(low)
+        for c in range(high)
+    }
+    return {key: v for key, v in prod.items() if v}
+
+
+D2_MESSAGE = re.compile(
+    r"d o d != 0 between degrees (\d+) and (\d+): entry \(\((\d+), (\d+)\), (-?\d+)\)"
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(integer_complexes(), perturbed_cubical_complexes(), signed_cubical_complexes())
+)
+def test_validate_d2_raises_exactly_on_a_nonzero_composite(cc):
+    composites = {j: dense_composite(cc, j) for j in range(2, len(cc.counts))}
+    try:
+        validate_d2(cc)
+    except AssertionError as exc:
+        found = D2_MESSAGE.fullmatch(str(exc))
+        assert found, str(exc)
+        j, below, r, c, v = map(int, found.groups())
+        assert below == j - 2
+        # the lowest degree with a nonzero composite, and one of its entries
+        assert not any(composites[i] for i in range(2, j))
+        assert composites[j].get((r, c)) == v != 0
+    else:
+        assert not any(composites.values())
 
 
 def coordinate_order_sign(cell, perm):
