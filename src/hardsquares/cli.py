@@ -3,24 +3,25 @@
 Subcommands compute Betti vectors (betti), f-vectors (fvector), critical
 cell counts (critical), the reference table of Betti numbers (table),
 plain-text and JSON exports (export), invariant checking (verify), and an
-apex-graph dump (inspect).  argparse checks every argument once: --n is
-at least 0, --p, --q and --threads at least 1, --field is a parse_field name
+apex-graph dump (inspect).  Every subcommand takes the two limits,
+--threads (worker processes, default one per usable CPU) and --cell-cap
+(the most cells of any complex a command builds or writes).  argparse
+checks every argument once: --n, --cell-cap and table --max-n are at
+least 0, --p, --q and --threads at least 1, --field is a parse_field name
 and --corners a list of col,row integer pairs.  An error found after
 parsing goes through the subcommand's own parser, so it prints that
 command's usage line.  verify's cubical and apex checks are the
 library's structural checks, grid.check_cell on every cell of dimension
 2 or more and morse.check_corner_set on every corner set; the cubical
-check adds only the count of cells against the f-vector.
+check adds only the count of cells against the f-vector.  Each check
+that walks the complex has a size limit.
 
 Exit codes: 0 success, 2 invalid arguments (an argparse error naming the
-flag, a HARDSQ_THREADS or HARDSQ_CELL_CAP that is not an integer, a
-negative cell cap or vertex cap, a --config file that is missing,
-unreadable, not a JSON object or has a value that is not an integer, and
-a table --out or critical --dump path that cannot be opened for writing),
-3 a cap refused the computation (CellCapExceeded for every cell cap: a
-direct or Morse build, complex-json, critical --dump; the vertex-list
-export has its own vertex cap), 1 a verify check failed or the gradient
-pairing has a closed V-path (BrokenPairing), 4 a worker process died
+flag, and a table --out or critical --dump path that cannot be opened
+for writing), 3 the cell cap refused the computation (CellCapExceeded: a
+direct or Morse build, complex-json, critical --dump, and the 0-cells,
+one line each, of a vertex-list export), 1 a verify check failed or the
+gradient pairing has a closed V-path (BrokenPairing), 4 a worker process died
 (BrokenProcessPool), 141 (128 + SIGPIPE) the reader of stdout closed it
 early; the rest of the output is dropped without a traceback.  main maps
 the exceptions to their codes.  verify reports a check over its size
@@ -40,8 +41,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 from . import grid, morse, oracle
 from .apexgraph import ApexGraph
-from .config import load_config
 from .homology import audit, parse_field
+from .parallel import default_threads
 
 EXIT_CAP = 3
 EXIT_WORKER = 4
@@ -92,10 +93,14 @@ def _create(parser, flag, path, **kwargs):
 
 
 def _common(parser):
-    parser.add_argument("--threads", type=_at_least(1), help="worker processes")
-    parser.add_argument("--cell-cap", type=int, help="max cells of a built complex")
-    parser.add_argument("--vertex-cap", type=int, help="max lines for vertex exports")
-    parser.add_argument("--config", help="JSON config file")
+    parser.add_argument(
+        "--threads", type=_at_least(1), default=default_threads(),
+        help="worker processes (default: one per usable CPU)",
+    )
+    parser.add_argument(
+        "--cell-cap", type=_at_least(0), default=oracle.DEFAULT_CELL_CAP,
+        help="max cells of a built or written complex",
+    )
 
 
 def _instance_args(parser):
@@ -104,12 +109,12 @@ def _instance_args(parser):
     parser.add_argument("--q", type=_at_least(1), required=True)
 
 
-def cmd_betti(parser, args, cfg):
+def cmd_betti(parser, args):
     n, p, q = args.n, args.p, args.q
     if args.method == "direct":
-        bv = oracle.direct_betti(n, p, q, args.field, cap=cfg.cell_cap)
+        bv = oracle.direct_betti(n, p, q, args.field, cap=args.cell_cap)
     else:
-        mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, cap=cfg.cell_cap)
+        mc = morse.build_morse_complex(n, p, q, threads=args.threads, cap=args.cell_cap)
         bv = mc.betti(args.field)
     if n > p * q:
         print(f"note: empty complex, n = {n} exceeds the board area {p * q}", file=sys.stderr)
@@ -118,20 +123,20 @@ def cmd_betti(parser, args, cfg):
     return 0
 
 
-def cmd_fvector(parser, args, cfg):
-    fv = grid.f_vector(args.n, args.p, args.q, threads=cfg.threads)
+def cmd_fvector(parser, args):
+    fv = grid.f_vector(args.n, args.p, args.q, threads=args.threads)
     print(" ".join(str(x) for x in fv))
     return 0
 
 
-def cmd_critical(parser, args, cfg):
+def cmd_critical(parser, args):
     n, p, q = args.n, args.p, args.q
     counts = morse.critical_counts(n, p, q)
     print(" ".join(str(m) for m in counts))
     if args.dump:
         total = sum(counts)
-        if total > cfg.cell_cap:
-            raise oracle.CellCapExceeded(n, p, q, total, cfg.cell_cap)
+        if total > args.cell_cap:
+            raise oracle.CellCapExceeded(n, p, q, total, args.cell_cap)
         with _create(parser, "--dump", args.dump) as fh:
             cells = [grid.cell_json(cell) for cell in morse.iter_critical_cells(n, p, q)]
             json.dump({"n": n, "p": p, "q": q, "cells": cells}, fh)
@@ -139,7 +144,7 @@ def cmd_critical(parser, args, cfg):
     return 0
 
 
-def cmd_table(parser, args, cfg):
+def cmd_table(parser, args):
     k = args.max_n
     if k < 2:
         print("warning: no table rows for max-n below 2", file=sys.stderr)
@@ -152,7 +157,7 @@ def cmd_table(parser, args, cfg):
         )
         for n in range(2, k + 1):
             full = morse.build_morse_complex(
-                n, n, n, threads=cfg.threads, cap=cfg.cell_cap
+                n, n, n, threads=args.threads, cap=args.cell_cap
             )
             for p in range(2, n + 1):
                 for q in range(p, n + 1):
@@ -168,23 +173,18 @@ def cmd_table(parser, args, cfg):
     return 0
 
 
-def cmd_export(parser, args, cfg):
+def cmd_export(parser, args):
     n, p, q = args.n, args.p, args.q
     write = sys.stdout.write
     if args.format == "vertex-list":
-        count = math.perm(p * q, n)
-        if count > cfg.vertex_cap:
-            print(
-                f"{count} integer configurations exceed the vertex cap of"
-                f" {cfg.vertex_cap}",
-                file=sys.stderr,
-            )
-            return EXIT_CAP
+        count = math.perm(p * q, n)  # the complex's 0-cells, one line each
+        if count > args.cell_cap:
+            raise oracle.CellCapExceeded(n, p, q, count, args.cell_cap, dim=0)
         for combo in grid.enumerate_apexes(n, p, q):
             write(" ".join(f"{c} {r}" for c, r in combo))
             write("\n")
     else:
-        oracle.check_cap(n, p, q, cfg.cell_cap)
+        oracle.check_cap(n, p, q, args.cell_cap)
         write("[")  # the text json.dump gives the whole list, a cell at a time
         for i, cell in enumerate(grid.enumerate_cells(n, p, q)):
             write((", " if i else "") + json.dumps({"id": i, **grid.cell_json(cell)}))
@@ -192,7 +192,7 @@ def cmd_export(parser, args, cfg):
     return 0
 
 
-def cmd_inspect(parser, args, cfg):
+def cmd_inspect(parser, args):
     try:
         graph = ApexGraph(args.corners, (args.p, args.q))
     except ValueError as exc:
@@ -201,11 +201,12 @@ def cmd_inspect(parser, args, cfg):
     return 0
 
 
-def _verify_checks(n, p, q, cfg, deep):
+def _verify_checks(args):
     """(name, callable) pairs; a callable raises AssertionError on failure
     and CellCapExceeded when the instance is over its size limit."""
+    n, p, q = args.n, args.p, args.q
     board = (p, q)
-    fv = grid.f_vector(n, p, q, threads=cfg.threads)
+    fv = grid.f_vector(n, p, q, threads=args.threads)
     total = sum(fv)
     state = {"betti": None}  # the Morse route's, None unless it ran
 
@@ -227,12 +228,14 @@ def _verify_checks(n, p, q, cfg, deep):
         )
 
     def apex_structure():
+        # it builds each corner set's cells once, unlabeled: total / n! cells
+        within(400_000 * math.factorial(n))
         for corners in itertools.combinations(grid.board_squares(p, q), n):
             morse.check_corner_set(corners, board)
 
     def morse_route():
         # the build raises AssertionError unless d o d = 0
-        mc = morse.build_morse_complex(n, p, q, threads=cfg.threads, cap=cfg.cell_cap)
+        mc = morse.build_morse_complex(n, p, q, threads=args.threads, cap=args.cell_cap)
         bv = mc.betti("gf2")
         state["betti"] = bv
         audit(n, p, q, bv, fv, morse_counts=mc.counts)
@@ -242,7 +245,7 @@ def _verify_checks(n, p, q, cfg, deep):
         assert morse.verify_acyclic(n, p, q), "closed V-path found"
 
     def oracle_agreement():
-        bv = oracle.direct_betti(n, p, q, "gf2", cap=cfg.cell_cap)
+        bv = oracle.direct_betti(n, p, q, "gf2", cap=args.cell_cap)
         assert bv == state["betti"], (
             f"direct route gives {bv}, morse route gives {state['betti']}"
         )
@@ -252,15 +255,15 @@ def _verify_checks(n, p, q, cfg, deep):
         ("apex structure (Fibonacci counts, pairing, half-squares)", apex_structure),
         ("morse complex checks (d2, euler, bounds)", morse_route),
     ]
-    if deep:
+    if args.deep:
         checks.append(("gradient field is acyclic", acyclicity))
         checks.append(("direct homology agrees with morse route", oracle_agreement))
     return checks
 
 
-def cmd_verify(parser, args, cfg):
+def cmd_verify(parser, args):
     failures = 0
-    for name, check in _verify_checks(args.n, args.p, args.q, cfg, args.deep):
+    for name, check in _verify_checks(args):
         try:
             check()
         except AssertionError as exc:  # AuditFailure is one too
@@ -301,7 +304,7 @@ def build_parser():
     p_crit.set_defaults(func=cmd_critical)
 
     p_table = sub.add_parser("table", help="Betti table for all boards up to n")
-    p_table.add_argument("--max-n", type=int, required=True)
+    p_table.add_argument("--max-n", type=_at_least(0), required=True)
     p_table.add_argument("--field", type=_field, default="gf2")
     p_table.add_argument("--out", help="CSV output path (default stdout)")
     p_table.set_defaults(func=cmd_table)
@@ -335,16 +338,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(
-            args.config,
-            threads=args.threads,
-            cell_cap=args.cell_cap,
-            vertex_cap=args.vertex_cap,
-        )
-    except ValueError as exc:
-        args.parser.error(str(exc))
-    try:
-        code = args.func(args.parser, args, cfg)
+        code = args.func(args.parser, args)
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout; keep the exit-time flush quiet

@@ -22,11 +22,12 @@ DEFAULT_CELL_CAP = 2_000_000
 
 
 class CellCapExceeded(RuntimeError):
-    "The requested complex is larger than the configured cell cap."
+    "The requested complex, or its cells of dimension dim, outnumber the cell cap."
 
-    def __init__(self, n, p, q, total, cap):
+    def __init__(self, n, p, q, total, cap, dim=None):
+        cells = "cells" if dim is None else f"{dim}-cells"
         super().__init__(
-            f"complex for n={n}, p={p}, q={q} has {total} cells,"
+            f"complex for n={n}, p={p}, q={q} has {total} {cells},"
             f" over the cap of {cap}"
         )
         self.total = total

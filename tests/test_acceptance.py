@@ -355,7 +355,7 @@ def test_criterion_8_puzzle_closed_form():
     )
 
 
-def test_criterion_9_determinism(capsys, monkeypatch):
+def test_criterion_9_determinism(capsys):
     commands = [
         ["fvector", "--n", "5", "--p", "3", "--q", "4"],
         ["fvector", "--n", "4", "--p", "4", "--q", "4"],
@@ -365,9 +365,8 @@ def test_criterion_9_determinism(capsys, monkeypatch):
     ]
     outputs = {}
     for threads in ("1", "2"):
-        monkeypatch.setenv("HARDSQ_THREADS", threads)
         for argv in commands:
-            code = cli.main(list(argv))
+            code = cli.main(argv + ["--threads", threads])
             captured = capsys.readouterr()
             assert code == 0
             outputs.setdefault(tuple(argv), []).append(captured.out)

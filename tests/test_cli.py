@@ -9,7 +9,6 @@ import pytest
 
 from hardsquares import cli, grid, morse, oracle, parallel
 from hardsquares.apexgraph import ApexGraph
-from hardsquares.config import load_config
 
 import shared
 
@@ -224,8 +223,15 @@ def test_table_command(capsys):
 
 
 def test_table_small_k_warns(capsys, tmp_path):
-    code, out, err = run(capsys, "table", "--max-n", "1")
-    assert code == 0 and out == "" and "warning" in err
+    for k in ("0", "1"):
+        code, out, err = run(capsys, "table", "--max-n", k)
+        assert code == 0 and out == "" and "warning" in err
+    with pytest.raises(SystemExit) as err:
+        cli.main(["table", "--max-n", "-3"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-n: must be at least 0, got -3" in captured.err
     target = tmp_path / "table.csv"
     target.write_text("kept\n")
     code, out, err = run(capsys, "table", "--max-n", "1", "--out", str(target))
@@ -287,9 +293,11 @@ def test_export_vertex_cap(capsys):
     code, _, err = run(
         capsys,
         "export", "--n", "3", "--p", "3", "--q", "3",
-        "--format", "vertex-list", "--vertex-cap", "10",
+        "--format", "vertex-list", "--cell-cap", "10",
     )
-    assert code == 3 and "vertex cap" in err
+    # one line per 0-cell: 9 * 8 * 7 = 504 of them
+    assert code == 3
+    assert err == "complex for n=3, p=3, q=3 has 504 0-cells, over the cap of 10\n"
 
 
 def test_export_line_count_is_f0(capsys):
@@ -438,6 +446,17 @@ def test_verify_size_skip_is_a_cap_refusal(capsys):
     assert skipped[0].endswith(
         "(skipped, complex for n=6, p=3, q=3 has 443520 cells, over the cap of 400000)"
     )
+    # (5,5,5) has 5,955,344 cells up to labeling, over the 400,000 the apex
+    # check may build; checking its C(25, 5) corner sets took over 100 s
+    with shared.deadline(30, "verify (5,5,5) still runs after 30 s"):
+        code, out, _ = run(capsys, "verify", "--n", "5", "--p", "5", "--q", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 3 and all(line.startswith("ok: ") for line in lines)
+    assert lines[1] == (
+        "ok: apex structure (Fibonacci counts, pairing, half-squares) (skipped,"
+        " complex for n=5, p=5, q=5 has 714641280 cells, over the cap of 48000000)"
+    )
 
 
 def test_inspect_command(capsys):
@@ -470,44 +489,21 @@ def test_inspect_corners_errors_name_the_flag(capsys):
         assert stderr.startswith("usage: hardsquares inspect ") and message in stderr
 
 
-def test_config_file(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"cell_cap": 10}')
-    code, _, err = run(
-        capsys,
-        "betti", "--n", "2", "--p", "2", "--q", "2",
-        "--method", "direct", "--config", str(cfg),
-    )
-    assert code == 3 and "over the cap" in err
-
-
-def test_thread_determinism(capsys, monkeypatch):
+def test_thread_determinism(capsys):
     outputs = []
     for threads in ("1", "2"):
-        monkeypatch.setenv("HARDSQ_THREADS", threads)
-        code, out, _ = run(capsys, "fvector", "--n", "3", "--p", "3", "--q", "4")
+        code, out, _ = run(
+            capsys, "fvector", "--n", "3", "--p", "3", "--q", "4", "--threads", threads
+        )
         assert code == 0
         outputs.append(out)
-        code, out, _ = run(capsys, "betti", "--n", "3", "--p", "3", "--q", "3")
+        code, out, _ = run(
+            capsys, "betti", "--n", "3", "--p", "3", "--q", "3", "--threads", threads
+        )
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[2]
     assert outputs[1] == outputs[3]
-
-
-def test_threads_clamped_to_cpu_count():
-    cpus = parallel.default_threads()
-    assert load_config(env={}, threads=10**6).threads == cpus
-    assert load_config(env={}, threads=0).threads == 1
-    assert load_config(env={"HARDSQ_THREADS": str(10**6)}).threads == cpus
-    assert load_config(env={"HARDSQ_THREADS": "-3"}).threads == 1
-
-
-def test_default_threads_follow_cpu_affinity(monkeypatch):
-    # one usable CPU on a many-CPU machine (taskset -c 0) means one worker
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert parallel.default_threads() == 1
-    assert load_config(env={}, threads=8).threads == 1
 
 
 def run_module(argv, **kwargs):
@@ -555,110 +551,47 @@ def test_closed_stdout_exits_141_quietly(argv):
     assert proc.returncode == 141
 
 
-def test_bad_threads_exit_2(capsys, monkeypatch):
+def test_bad_threads_exit_2(capsys):
     argv = ["fvector", "--n", "2", "--p", "2", "--q", "2"]
     for extra in (["--threads", "0"], ["--threads", "-2"], ["--threads", "two"]):
         with pytest.raises(SystemExit) as err:
             cli.main(argv + extra)
         assert err.value.code == 2
     assert "argument --threads: must be at least 1, got -2" in capsys.readouterr().err
-    for value in ("abc", "2.5"):
-        monkeypatch.setenv("HARDSQ_THREADS", value)
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv)
-        assert err.value.code == 2
-    assert "HARDSQ_THREADS" in capsys.readouterr().err
 
 
-def test_bad_config_exit_2(capsys, tmp_path):
-    argv = ["fvector", "--n", "2", "--p", "2", "--q", "2", "--config"]
-    array = tmp_path / "array.json"
-    array.write_text("[1, 2]")
-    broken = tmp_path / "broken.json"
-    broken.write_text("{")
-    word = tmp_path / "word.json"
-    word.write_text('{"cell_cap": "lots"}')
-    cases = (
-        (tmp_path / "missing.json", "cannot read"),
-        (array, "JSON object"),
-        (broken, ""),
-        (word, "'cell_cap'"),
-    )
-    for path, message in cases:
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv + [str(path)])
-        assert err.value.code == 2
-        stderr = capsys.readouterr().err
-        assert stderr.startswith("usage: hardsquares fvector ") and message in stderr
-
-
-def test_unknown_config_key_exit_2(capsys, tmp_path):
-    # a removed key or a misspelt limit must not fall back to the default
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"flow_budget": 5, "cell-cap": 1}))
-    with pytest.raises(SystemExit) as err:
-        cli.main(["critical", "--n", "2", "--p", "2", "--q", "2", "--config", str(path)])
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "'flow_budget'" in captured.err and "'cell-cap'" in captured.err
-
-
-def test_config_values_must_be_integers(tmp_path):
-    for text in ('{"threads": null}', '{"threads": 2.5}', '{"threads": true}'):
-        bad = tmp_path / "bad.json"
-        bad.write_text(text)
-        with pytest.raises(ValueError, match="'threads'"):
-            load_config(bad, env={})
-    good = tmp_path / "good.json"
-    good.write_text('{"cell_cap": 10, "vertex_cap": "20"}')
-    cfg = load_config(good, env={})
-    assert (cfg.cell_cap, cfg.vertex_cap) == (10, 20)
-
-
-def test_negative_limits_exit_2(capsys, monkeypatch, tmp_path):
+def test_negative_limits_exit_2(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a rejected limit must stop before any work")
 
     monkeypatch.setattr(parallel, "pmap", no_pool)
     argv = ["betti", "--n", "2", "--p", "2", "--q", "2"]
-    flags = ("--cell-cap", "--vertex-cap")
-    cases = [([flag, "-1"], flag) for flag in flags]
-    for key in ("cell_cap", "vertex_cap"):
-        path = tmp_path / f"{key}.json"
-        path.write_text(json.dumps({key: -5}))
-        cases.append((["--config", str(path)], repr(key)))
-    for extra, name in cases:
-        with pytest.raises(SystemExit) as err:
-            cli.main(argv + extra)
-        assert err.value.code == 2
-        assert name in capsys.readouterr().err
-    monkeypatch.setenv("HARDSQ_CELL_CAP", "-5")
     with pytest.raises(SystemExit) as err:
-        cli.main(argv + ["--method", "direct"])
+        cli.main(argv + ["--cell-cap", "-1"])
     assert err.value.code == 2
-    assert "HARDSQ_CELL_CAP must not be negative" in capsys.readouterr().err
-    cfg = load_config(env={}, cell_cap=0, vertex_cap=0)
-    assert (cfg.cell_cap, cfg.vertex_cap) == (0, 0)
+    assert "argument --cell-cap: must be at least 0, got -1" in capsys.readouterr().err
+    # a cap of 0 is a limit, not an error
+    inspect = ["inspect", "--corners", "1,2;2,1", "--p", "2", "--q", "2"]
+    assert cli.main(inspect + ["--cell-cap", "0"]) == 0
 
 
-def test_every_command_loads_config(capsys, monkeypatch, tmp_path):
+def test_every_command_loads_config(capsys, monkeypatch):
+    # the limits are checked before any work, by inspect too, which uses neither
     def no_pool(*args, **kwargs):
-        raise AssertionError("a rejected config must stop before any work")
+        raise AssertionError("a rejected limit must stop before any work")
 
     monkeypatch.setattr(parallel, "pmap", no_pool)
-    cases = (
-        (["critical", "--n", "2", "--p", "2", "--q", "2",
-          "--config", str(tmp_path / "missing.json")], "cannot read config file"),
-        (["inspect", "--corners", "1,2;2,1", "--p", "2", "--q", "2",
-          "--vertex-cap", "-1"], "--vertex-cap must not be negative"),
+    commands = (
+        ["critical", "--n", "2", "--p", "2", "--q", "2"],
+        ["inspect", "--corners", "1,2;2,1", "--p", "2", "--q", "2"],
     )
-    for argv, message in cases:
+    for argv in commands:
         with pytest.raises(SystemExit) as err:
-            cli.main(argv)
+            cli.main(argv + ["--cell-cap", "-1"])
         assert err.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err
+        assert captured.out == ""
+        assert "argument --cell-cap: must be at least 0, got -1" in captured.err
 
 
 def test_dead_worker_exit_4(capsys, monkeypatch):
