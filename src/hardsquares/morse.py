@@ -6,9 +6,12 @@ cell per apex stays unmatched (critical).  The Morse complex lives on the
 critical cells; its boundary is computed by flowing each cubical facet
 through the matching until only critical cells remain, once per critical
 corner set, since the labeled critical cells are free S_n-orbits; each
-corner set's n! labelings get consecutive ids.  A flow ends because the
-pairing is acyclic; a closed V-path raises BrokenPairing instead of
-looping, and verify_acyclic flows every cell to look for one.
+corner set's n! labelings get consecutive ids.  The labeled entries of a
+flow come from per-build tables: n! signs per odd-extension mask and n!
+row ids per slot.  Each step of a flow reads whether the partner is up
+or down from the bit the pairing flips (0 to 1 is up).  A flow ends
+because the pairing is acyclic; a closed V-path raises BrokenPairing
+instead of looping, and verify_acyclic flows every cell to look for one.
 check_corner_set checks the rest of what makes the pairing a discrete
 gradient, one corner set at a time, for verify and the tests.  Critical
 cells are decoded by the apex's ApexGraph.  The build refuses, with
@@ -75,20 +78,19 @@ def match_string(s):
     return s[:i] + ("1" if s[i] == "0" else "0") + s[i + 1 :]
 
 
-def match_cell(cell):
-    """Partner cell of a cell under the gradient pairing, or None if critical.
+def _pair(cell):
+    """(partner, up) under the gradient pairing, or None if cell is critical.
 
     The first path (in canonical order) whose string is matched gets the
-    flipped bit of match_string; every other option is kept.  Label-blind,
-    so the pairing commutes with relabeling.
+    flipped bit of match_string; every other option is kept.  The flipped
+    bit going from 0 to 1 adds an extension, so up means the partner is
+    the cofacet.
     """
     owner = {(pc.col, pc.row): k for k, pc in enumerate(cell)}
     for path in cached_structure(tuple(sorted(owner))):
-        bits = []
-        for corner, axis in path:
-            pc = cell[owner[corner]]
-            bits.append("1" if (pc.left if axis == 0 else pc.down) else "0")
-        i = _flip_index("".join(bits))
+        # a Piece is (col, row, left, down): field 2 + axis is the option
+        bits = "".join(["1" if cell[owner[at]][2 + axis] else "0" for at, axis in path])
+        i = _flip_index(bits)
         if i is None:
             continue
         (c, r), axis = path[i]
@@ -98,19 +100,30 @@ def match_cell(cell):
             new = Piece(c, r, 1 - pc.left, pc.down)
         else:
             new = Piece(c, r, pc.left, 1 - pc.down)
-        return cell[:k] + (new,) + cell[k + 1 :]
+        return cell[:k] + (new,) + cell[k + 1 :], bits[i] == "0"
     return None
+
+
+def match_cell(cell):
+    """Partner cell of a cell under the gradient pairing, or None if critical.
+
+    Label-blind, so the pairing commutes with relabeling.
+    """
+    paired = _pair(cell)
+    return None if paired is None else paired[0]
 
 
 def cell_status(cell):
     """("critical", None), ("up", partner) or ("down", partner).
 
-    "up" means the partner is the cofacet (one dimension higher).
+    "up" means the partner is the cofacet (one dimension higher): the
+    pairing flips a bit of the cell's strings from 0 to 1.
     """
-    partner = match_cell(cell)
-    if partner is None:
+    paired = _pair(cell)
+    if paired is None:
         return ("critical", None)
-    return ("up" if cell_dim(partner) > cell_dim(cell) else "down", partner)
+    partner, up = paired
+    return ("up" if up else "down", partner)
 
 
 def critical_cell_for(apex, board):
@@ -249,10 +262,14 @@ def _flow_chain(start, memo):
             stack.pop()
             continue
         facets = boundary(partner)
-        lam = next(s for f, s in facets if f == cell)
-        pending = [f for f, _ in facets if f != cell and f not in memo]
-        if any(f in open_cells for f in pending):
-            raise BrokenPairing(f"closed V-path through {cell}")
+        pending = []
+        for f, s in facets:
+            if f == cell:
+                lam = s
+            elif f not in memo:
+                if f in open_cells:
+                    raise BrokenPairing(f"closed V-path through {cell}")
+                pending.append(f)
         open_cells[cell] = (facets, lam)
         stack.extend(pending)
     return memo[start]
@@ -341,6 +358,43 @@ class MorseComplex:
         return MorseComplex(self.n, (p, q), cells, boundaries)
 
 
+class _Labelings:
+    """The n! labelings of one build, with its sign and row-id tables.
+
+    perms lists the permutations of range(n) in itertools.permutations
+    order; labeling i of a corner set relabels its critical cell by
+    perms[i].  relabel_sign(cell, perm) depends only on the tuple of flags
+    saying which pieces have an odd number of extensions, so one list of
+    n! signs per such mask serves every cell that has it; the first such
+    cell fills it.  One list of n! row offsets per slot serves every flow
+    target whose pieces lie at those positions of its corner set.
+    """
+
+    def __init__(self, n):
+        self.perms = list(itertools.permutations(range(n)))
+        self.perm_id = {perm: i for i, perm in enumerate(self.perms)}
+        self._signs = {}  # odd-extension mask -> relabel_sign for each perm
+        self._rows = {}  # slot -> perm_id of slot o perm for each perm
+
+    def signs(self, cell):
+        "relabel_sign(cell, perm) for each perm, from the table of the cell's mask."
+        mask = tuple((pc.left + pc.down) & 1 for pc in cell)
+        out = self._signs.get(mask)
+        if out is None:
+            out = self._signs[mask] = [relabel_sign(cell, perm) for perm in self.perms]
+        return out
+
+    def rows(self, slot):
+        "Id of the labeling pi, pi[k] = slot[perm[k]], for each perm."
+        out = self._rows.get(slot)
+        if out is None:
+            perm_id = self.perm_id
+            out = self._rows[slot] = [
+                perm_id[tuple(slot[j] for j in perm)] for perm in self.perms
+            ]
+        return out
+
+
 def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     """Morse complex of the full gradient pairing on the n, p, q complex.
 
@@ -351,7 +405,10 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     earlier corner set T (boundaries move corners left or down), and its
     relabeling by perm is T's labeling pi with pi[k] = slot[perm[k]], where
     slot[k] is the position of target piece k's corner in T.  Signs are
-    transported through the coordinate-order permutation.  d o d = 0 is
+    transported through the coordinate-order permutation.  Both come from
+    per-build tables (_Labelings): the n! signs of a cell from its
+    odd-extension mask, the n! row offsets of a target from its slot, so
+    each target adds its block of n! entries at once.  d o d = 0 is
     checked here, once; restrictions are subcomplexes and need no check.
     Over cap, an integer count of labeled critical cells, CellCapExceeded
     is raised before any flow runs or any cell is made.
@@ -366,8 +423,8 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     chunks = _split([corners for corners, dim in sets if dim > 0], threads)
     jobs = [(n, p, q, part) for part in chunks]
     flows = itertools.chain.from_iterable(pmap(_flow_chunk, jobs, threads))
-    perms = list(itertools.permutations(range(n)))
-    perm_id = {perm: i for i, perm in enumerate(perms)}
+    labelings = _Labelings(n)
+    perms = labelings.perms
     first = {}  # corner set -> (dim, id of its first labeling)
     top = max((dim for _, dim in sets), default=0) + 1
     cells = [[] for _ in range(top)]
@@ -379,7 +436,9 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
         cells[dim] += [relabel(rep, perm) for perm in perms]
         if dim == 0:
             continue
-        targets = []
+        base = labelings.signs(rep)
+        cols = range(col, col + len(perms))
+        tri = boundaries[dim]
         for target, coeff in next(flows):
             corner = [(pc.col, pc.row) for pc in target]
             target_set = tuple(sorted(corner))
@@ -387,14 +446,15 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
             tdim, row = first.get(target_set, (None, 0))
             if tdim != dim - 1:
                 raise AssertionError("flow target has wrong dimension")
-            slot = [target_set.index(c) for c in corner]
-            targets.append((target, coeff, row, slot))
-        for i, perm in enumerate(perms):
-            base = relabel_sign(rep, perm)
-            for target, coeff, row, slot in targets:
-                pi = tuple(slot[j] for j in perm)
-                sign = base * relabel_sign(target, perm)
-                boundaries[dim].append((row + perm_id[pi], col + i, sign * coeff))
+            rows = labelings.rows(tuple(map(target_set.index, corner)))
+            signs = labelings.signs(target)
+            tri.extend(
+                zip(
+                    map(row.__add__, rows),
+                    cols,
+                    [coeff * b * t for b, t in zip(base, signs)],
+                )
+            )
     for tri in boundaries:
         tri.sort()
     mc = MorseComplex(n, board, cells, boundaries)

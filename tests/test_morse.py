@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import signal
@@ -213,7 +214,7 @@ def test_morse_d2_zero():
 
 
 def test_equivariant_assembly_matches_per_cell_flows():
-    for n, p, q in [(2, 2, 2), (3, 2, 2), (3, 2, 3), (3, 3, 3)]:
+    for n, p, q in [(2, 2, 2), (3, 2, 2), (3, 2, 3), (3, 3, 3), (4, 3, 3), (4, 3, 4)]:
         mc = shared.morse_complex(n, p, q)
         idx = {}
         for d, cells in enumerate(mc.cells):
@@ -228,6 +229,18 @@ def test_equivariant_assembly_matches_per_cell_flows():
                     tris.append((r, i, coeff))
             tris.sort()
             assert tris == list(mc.boundaries[d])
+
+
+BUILD_555_SHA256 = "278fecb7d6bb80739196df1d1347daef97208620037cdbe7e06629d954d9fed5"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_is_pinned_byte_for_byte(threads):
+    # a wrong sign or row id in the labeling tables changes these bytes even
+    # where d o d = 0 still holds
+    mc = morse.build_morse_complex(5, 5, 5, threads=threads)
+    digest = hashlib.sha256(repr((mc.cells, mc.boundaries)).encode()).hexdigest()
+    assert digest == BUILD_555_SHA256
 
 
 def _cyclic_pairing(monkeypatch):

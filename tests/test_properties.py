@@ -25,7 +25,13 @@ grid.relabel_sign is checked against the plain count of inversions of
 the free coordinates in x1,y1,...,xn,yn order, and relabeling with its
 sign against the cocycle law that makes it a right action of S_n:
 relabeling by g then h is relabeling by gh, gh[k] = g[h[k]], and the
-signs multiply.
+signs multiply.  The Morse build reads relabel_sign from a table with
+one list of n! signs per odd-extension mask, filled from the first cell
+with that mask; here a random cell of the same size, then the cell with
+every option complemented (same mask), fill the table before it is read.
+The pairing's up or down, read from the bit it flips, is checked against
+the dimensions of cell and partner on every cell of three small
+complexes.
 
 validate_d2 is checked against dense products d_{j-1} d_j on random
 integer complexes and on signed cubical complexes with one boundary
@@ -53,7 +59,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 import shared
-from hardsquares import grid, oracle
+from hardsquares import grid, morse, oracle
 from hardsquares.apexgraph import path_structure
 from hardsquares.homology import ChainComplex, SparseMatrix, betti, rank, trim, validate_d2
 from hardsquares.reduce import reduce_complex
@@ -330,6 +336,33 @@ def test_signed_relabeling_is_a_right_action(cell, data):
     assert grid.relabel_sign(cell, gh) == (
         grid.relabel_sign(cell, g) * grid.relabel_sign(image, h)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), max_size=6), st.data())
+def test_relabel_sign_is_read_from_the_mask_table(extensions, data):
+    cell = tuple(
+        grid.Piece(2 * k + 2, 2, left, down) for k, (left, down) in enumerate(extensions)
+    )
+    # every option complemented: 2 - e extensions, the same odd-extension mask
+    filler = tuple(grid.Piece(pc.col, pc.row, 1 - pc.left, 1 - pc.down) for pc in cell)
+    # any mask: fills the list of the cell's mask first when the two masks agree
+    options = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    other = tuple(grid.Piece(2 * k + 2, 2, *data.draw(options)) for k in range(len(cell)))
+    perm = tuple(data.draw(st.permutations(range(len(cell)))))
+    table = morse._Labelings(len(cell))
+    table.signs(other)
+    table.signs(filler)
+    assert table.signs(cell)[table.perm_id[perm]] == grid.relabel_sign(cell, perm)
+
+
+@pytest.mark.parametrize("n, p, q", [(3, 3, 3), (4, 2, 4), (2, 3, 3)])
+def test_pairing_direction_matches_dimensions(n, p, q):
+    for cell in grid.enumerate_cells(n, p, q):
+        status, partner = morse.cell_status(cell)
+        if status != "critical":
+            up = grid.cell_dim(partner) > grid.cell_dim(cell)
+            assert status == ("up" if up else "down"), cell
 
 
 def reference_reduce(counts, triples):
