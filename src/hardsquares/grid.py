@@ -13,7 +13,11 @@ cubical boundary, deterministic apex-major enumeration, and f-vectors.
 The f-vector never lists corner sets: the option graph of a corner set is
 a union of paths along the anti-diagonals c + r = d (board_diagonals), so
 a transfer from diagonal to diagonal sums the products of their path
-polynomials, one transfer per pool chunk.  The module owns the complex's
+polynomials, one transfer per pool chunk.  Each transfer state packs its
+polynomials, one per number of squares placed, into a single int of
+pq + 2n + 1-bit lanes (Kronecker substitution): every count is below
+2^(pq + 2n), so lanes never carry, and a diagonal step is one big-int
+multiply, shift and mask.  The module owns the complex's
 structural check, check_cell: the facets of a cell are cells, and
 d o d = 0 on it.
 """
@@ -252,25 +256,9 @@ def enumerate_cells(n, p, q):
 
 
 @lru_cache(maxsize=None)
-def _path_poly(k):
-    "Coefficients by size of the independent sets of a k-vertex path."
-    return tuple(math.comb(k - m + 1, m) for m in range(0, (k + 1) // 2 + 1))
-
-
-def _poly_add_mul(acc, a, b):
-    "acc += a * b on coefficient lists, lengthening acc as needed."
-    size = len(a) + len(b) - 1
-    if len(acc) < size:
-        acc.extend([0] * (size - len(acc)))
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            acc[j] += x * y
-
-
-def _poly_mul(a, b):
-    out = []
-    _poly_add_mul(out, a, b)
-    return out
+def _path_poly(k, lane):
+    "Independent sets of a k-vertex path: comb(k - m + 1, m) of size m, in lane m."
+    return sum(math.comb(k - m + 1, m) << lane * m for m in range((k + 1) // 2 + 1))
 
 
 def _fvector_chunk(args):
@@ -286,36 +274,52 @@ def _fvector_chunk(args):
     that come lexicographically after squares[first], together with
     squares[first] itself on its own diagonal, and never more than n
     squares in all.
+
+    A state's polynomial is one int: the coefficient of dimension j with m
+    squares placed sits in lane (2n + 1) * m + j, a lane being
+    pq + 2n + 1 bits, so each count m has a block of 2n + 1 lanes.  A
+    coefficient counts pairs of a partial corner set and a set of its
+    options, fewer than 2^(pq + 2n), so no lane carries into the next.  A
+    diagonal's path polynomials are packed the same way (_path_poly), and
+    one multiplication and a shift by k blocks, k the squares it places,
+    advance a whole state.  Block m times that factor has dimension at most
+    2(m + k), as m squares have at most 2m options, so it passes lane 2n of
+    its block, and spills into the next, only when m + k > n: the spill
+    lands above block n.  The mask keeps blocks 0 .. n and drops every such
+    block, spill included.
     """
     n, p, q, first = args
     from .apexgraph import diagonal_paths
 
+    lane = p * q + 2 * n + 1
+    block = (2 * n + 1) * lane
+    keep = (1 << block * (n + 1)) - 1
     start = board_squares(p, q)[first]
-    # (squares of diagonal d - 1, squares of diagonal d) -> {placed: polynomial}
-    states = {((), ()): {0: [1]}}
+    # (squares of diagonal d - 1, squares of diagonal d) -> packed polynomial
+    states = {((), ()): 1}
     for diagonal in board_diagonals(p, q):
         forced = (start,) if start in diagonal else ()
         free = [s for s in diagonal if s > start]
         step = {}
-        for (older, old), by_placed in states.items():
-            fewest = min(by_placed)
+        for (older, old), poly in states.items():
+            # the fewest squares placed: the block of the lowest set bit
+            fewest = ((poly & -poly).bit_length() - 1) // block
             for k in range(len(free) + 1):
                 if fewest + len(forced) + k > n:
                     break
                 for extra in itertools.combinations(free, k):
                     chosen = forced + extra
-                    factor = [1]
+                    factor = 1
                     for path in diagonal_paths(chosen, {*older, *old, *chosen}):
-                        factor = _poly_mul(factor, _path_poly(len(path)))
-                    target = step.setdefault((old, chosen), {})
-                    for placed, poly in by_placed.items():
-                        placed += len(chosen)
-                        if placed <= n:
-                            _poly_add_mul(target.setdefault(placed, []), poly, factor)
+                        factor *= _path_poly(len(path), lane)
+                    key = (old, chosen)
+                    term = (poly * factor << block * len(chosen)) & keep
+                    step[key] = step.get(key, 0) + term
         states = step
-    total = [0]
-    for by_placed in states.values():
-        _poly_add_mul(total, by_placed.get(n, ()), (1,))
+    top = sum(states.values()) >> block * n
+    total = [(top >> lane * j) & ((1 << lane) - 1) for j in range(2 * n + 1)]
+    while len(total) > 1 and total[-1] == 0:
+        total.pop()
     return total
 
 
@@ -326,8 +330,17 @@ def f_vector(n, p, q, threads=1):
     the complex itself is never materialized: the cells of one corner set
     are counted by the product of its path polynomials.  Unordered corner
     sets are counted once and scaled by n!.  One pool job per smallest
-    square, each an anti-diagonal transfer (_fvector_chunk).
+    square, each an anti-diagonal transfer (_fvector_chunk) whose states
+    are single ints packing a polynomial in the dimension for each number
+    of squares placed, 0 .. n: lanes of pq + 2n + 1 bits hold counts below
+    2^(pq + 2n) without carrying, and the blocks above n, the only ones a
+    too-high dimension spills into, are masked off at every step.  The
+    jobs' lists are added elementwise.  Raises ValueError when n, p or q is
+    negative.
     """
+    for name, value in (("n", n), ("p", p), ("q", q)):
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
     if n > p * q:
         return ()
     if n == 0:
@@ -335,9 +348,10 @@ def f_vector(n, p, q, threads=1):
     from .parallel import pmap
 
     jobs = [(n, p, q, first) for first in range(0, p * q - n + 1)]
-    total = [0]
+    total = [0] * (2 * n + 1)
     for part in pmap(_fvector_chunk, jobs, threads):
-        _poly_add_mul(total, part, (1,))
+        for j, x in enumerate(part):
+            total[j] += x
     scale = math.factorial(n)
     while total and total[-1] == 0:
         total.pop()

@@ -3,6 +3,8 @@ import math
 import operator
 import random
 
+import pytest
+
 from hardsquares import grid, morse
 from hardsquares.grid import Piece
 
@@ -139,6 +141,14 @@ def test_enumeration_edge_cases():
     assert len(empty) == 1 and empty[0] == ()
     assert grid.f_vector(0, 3, 3) == (1,)
     assert grid.f_vector(5, 2, 2) == ()
+
+
+@pytest.mark.parametrize(
+    "args, name", [((-1, 2, 2), "n"), ((2, -1, 3), "p"), ((2, 3, -1), "q")]
+)
+def test_f_vector_refuses_negative_arguments(args, name):
+    with pytest.raises(ValueError, match=f"^{name} "):
+        grid.f_vector(*args)
 
 
 def test_facets_come_before_their_cell():

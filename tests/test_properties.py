@@ -43,7 +43,11 @@ grid._fvector_chunk, a transfer over the anti-diagonals, is checked
 against the plain sum over its corner sets, one product of path
 polynomials each, on every chunk of the census boards (2 <= p <= q <= 5),
 one-row and one-column boards up to length 6 and the transposed boards
-q < p <= 4, for n up to 6 and for n = pq - 1 and n = pq.
+q < p <= 4, for n up to 6 and for n = pq - 1 and n = pq, and for every n
+from 1 to pq on the 3x4, 4x3, 2x6, 6x2 and 4x4 boards, whose middle n put
+the largest counts in the lanes of its packed states.  _path_poly(k, lane)
+must unpack, lane by lane, to the comb(k - m + 1, m) independent sets of
+size m of a k-vertex path.
 """
 
 import re
@@ -513,3 +517,29 @@ def test_fvector_chunk_matches_plain_enumeration(board):
             assert grid._fvector_chunk((n, p, q, first)) == reference_fvector_chunk(
                 n, p, q, first
             ), (n, p, q, first)
+
+
+@pytest.mark.parametrize(
+    "board", [(3, 4), (4, 3), (2, 6), (6, 2), (4, 4)], ids="{0[0]}x{0[1]}".format
+)
+def test_fvector_chunk_matches_plain_enumeration_at_every_size(board):
+    # the middle sizes hold the largest coefficients in the packed lanes
+    p, q = board
+    area = p * q
+    for n in range(1, area + 1):
+        for first in range(area - n + 1):
+            assert grid._fvector_chunk((n, p, q, first)) == reference_fvector_chunk(
+                n, p, q, first
+            ), (n, p, q, first)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.data())
+def test_path_poly_unpacks_to_path_independent_sets(k, data):
+    # every coefficient is below 2^k when k >= 1, so a lane of k + 1 bits holds it
+    lane = data.draw(st.integers(k + 1, 90), label="lane")
+    packed = grid._path_poly(k, lane)
+    top = (k + 1) // 2
+    assert packed >> lane * (top + 1) == 0
+    lanes = [(packed >> lane * m) & ((1 << lane) - 1) for m in range(top + 1)]
+    assert lanes == [comb(k - m + 1, m) for m in range(top + 1)]
