@@ -112,7 +112,9 @@ def _instance_args(parser):
 def cmd_betti(parser, args):
     n, p, q = args.n, args.p, args.q
     if args.method == "direct":
-        bv = oracle.direct_betti(n, p, q, args.field, cap=args.cell_cap)
+        bv = oracle.direct_betti(
+            n, p, q, args.field, cap=args.cell_cap, threads=args.threads
+        )
     else:
         mc = morse.build_morse_complex(n, p, q, threads=args.threads, cap=args.cell_cap)
         bv = mc.betti(args.field)
@@ -184,7 +186,7 @@ def cmd_export(parser, args):
             write(" ".join(f"{c} {r}" for c, r in combo))
             write("\n")
     else:
-        oracle.check_cap(n, p, q, args.cell_cap)
+        oracle.check_cap(n, p, q, args.cell_cap, args.threads)
         write("[")  # the text json.dump gives the whole list, a cell at a time
         for i, cell in enumerate(grid.enumerate_cells(n, p, q)):
             write((", " if i else "") + json.dumps({"id": i, **grid.cell_json(cell)}))
@@ -245,7 +247,7 @@ def _verify_checks(args):
         assert morse.verify_acyclic(n, p, q), "closed V-path found"
 
     def oracle_agreement():
-        bv = oracle.direct_betti(n, p, q, "gf2", cap=args.cell_cap)
+        bv = oracle.direct_betti(n, p, q, "gf2", cap=args.cell_cap, threads=args.threads)
         assert bv == state["betti"], (
             f"direct route gives {bv}, morse route gives {state['betti']}"
         )

@@ -6,7 +6,10 @@ cell per apex stays unmatched (critical).  The Morse complex lives on the
 critical cells; its boundary is computed by flowing each cubical facet
 through the matching until only critical cells remain, once per critical
 corner set, since the labeled critical cells are free S_n-orbits; each
-corner set's n! labelings get consecutive ids.  The labeled entries of a
+corner set's n! labelings get consecutive ids.  Each corner set's flow is
+one parallel.pmap job with a memo of its own, and the jobs are listed
+heaviest first, by the sum of their corner coordinates, so pmap's fixed
+snake-wise shares are balanced.  The labeled entries of a
 flow come from per-build tables: n! signs per odd-extension mask and n!
 row ids per slot.  Each step of a flow reads whether the partner is up
 or down from the bit the pairing flips (0 to 1 is up).  A flow ends
@@ -283,16 +286,10 @@ def morse_boundary(cell):
 
 
 def _flow_chunk(args):
-    "Flows for a slice of critical corner sets (worker for parallel builds)."
-    n, p, q, corner_sets = args
-    board = (p, q)
-    memo = {}
-    out = []
-    for corners in corner_sets:
-        rep = critical_cell_for(corners, board)
-        flow = flow_boundary(rep, memo)
-        out.append(sorted(flow.items()))
-    return out
+    "Sorted flow of one critical corner set, with a memo of its own (a pool job)."
+    n, p, q, corners = args
+    flow = flow_boundary(critical_cell_for(corners, (p, q)), {})
+    return sorted(flow.items())
 
 
 class MorseComplex:
@@ -408,8 +405,12 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     transported through the coordinate-order permutation.  Both come from
     per-build tables (_Labelings): the n! signs of a cell from its
     odd-extension mask, the n! row offsets of a target from its slot, so
-    each target adds its block of n! entries at once.  d o d = 0 is
-    checked here, once; restrictions are subcomplexes and need no check.
+    each target adds its block of n! entries at once.  The flows run as
+    one pmap job per corner set of positive dimension, each with its own
+    memo, listed by decreasing sum of corner coordinates (flows only move
+    corners left and down, so that sum bounds how far a flow goes), and
+    are read back in lex order.  d o d = 0 is checked here, once;
+    restrictions are subcomplexes and need no check.
     Over cap, an integer count of labeled critical cells, CellCapExceeded
     is raised before any flow runs or any cell is made.
     """
@@ -420,9 +421,14 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     total = len(sets) * math.factorial(n)
     if total > cap:
         raise CellCapExceeded(n, p, q, total, cap)
-    chunks = _split([corners for corners, dim in sets if dim > 0], threads)
-    jobs = [(n, p, q, part) for part in chunks]
-    flows = itertools.chain.from_iterable(pmap(_flow_chunk, jobs, threads))
+    # heaviest first, so that pmap's snake-wise deal balances the workers
+    flowing = sorted(
+        (corners for corners, dim in sets if dim > 0),
+        key=lambda corners: sum(c + r for c, r in corners),
+        reverse=True,
+    )
+    jobs = [(n, p, q, corners) for corners in flowing]
+    flows = dict(zip(flowing, pmap(_flow_chunk, jobs, threads)))
     labelings = _Labelings(n)
     perms = labelings.perms
     first = {}  # corner set -> (dim, id of its first labeling)
@@ -439,7 +445,7 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
         base = labelings.signs(rep)
         cols = range(col, col + len(perms))
         tri = boundaries[dim]
-        for target, coeff in next(flows):
+        for target, coeff in flows.pop(corners):
             corner = [(pc.col, pc.row) for pc in target]
             target_set = tuple(sorted(corner))
             # a later corner set is not in first yet, and counts as wrong too
@@ -460,20 +466,6 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     mc = MorseComplex(n, board, cells, boundaries)
     validate_d2(mc.chain_complex())
     return mc
-
-
-def _split(items, parts):
-    "Split a list into at most `parts` contiguous chunks of similar size."
-    parts = max(1, min(parts, len(items)) if items else 1)
-    size, extra = divmod(len(items), parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        end = start + size + (1 if i < extra else 0)
-        if start < end:
-            out.append(items[start:end])
-        start = end
-    return out or [[]]
 
 
 def verify_acyclic(n, p, q):

@@ -59,9 +59,12 @@ def _triple_stream(n, p, q, counts):
         raise AssertionError(f"cells by dimension {numbered}, f-vector {counts}")
 
 
-def check_cap(n, p, q, cap=DEFAULT_CELL_CAP):
-    "f-vector and total size, raising CellCapExceeded over the integer cap."
-    fv = grid.f_vector(n, p, q)
+def check_cap(n, p, q, cap=DEFAULT_CELL_CAP, threads=1):
+    """f-vector and total size, raising CellCapExceeded over the integer cap.
+
+    threads goes to grid.f_vector, whose pool the count may use.
+    """
+    fv = grid.f_vector(n, p, q, threads=threads)
     total = sum(fv)
     if total > cap:
         raise CellCapExceeded(n, p, q, total, cap)
@@ -77,14 +80,14 @@ def build_chain_complex(n, p, q, cap=DEFAULT_CELL_CAP):
     return ChainComplex(counts, tuple(tuple(sorted(t)) for t in tris))
 
 
-def direct_betti(n, p, q, field="gf2", cap=DEFAULT_CELL_CAP):
+def direct_betti(n, p, q, field="gf2", cap=DEFAULT_CELL_CAP, threads=1):
     """Betti numbers computed from the full complex, no gradient involved.
 
-    The cell counts are the f-vector of the cap check; the boundary entries
-    are streamed from one enumeration into homology.betti_of_stream, so the
-    complex is never materialized.
+    The cell counts are the f-vector of the cap check, counted with threads
+    workers; the boundary entries are streamed from one enumeration into
+    homology.betti_of_stream, so the complex is never materialized.
     """
-    counts, _ = check_cap(n, p, q, cap)
+    counts, _ = check_cap(n, p, q, cap, threads)
     return betti_of_stream(counts, _triple_stream(n, p, q, counts), field)
 
 

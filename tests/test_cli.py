@@ -101,6 +101,33 @@ def test_betti_direct_cap_exit_3(capsys):
     assert "over the cap" in err
 
 
+def test_cap_checks_count_at_the_threads_asked_for(capsys, monkeypatch):
+    # the f-vector of the direct route's, complex-json's and verify's cap
+    # checks runs on --threads workers, and the refusal text is unchanged
+    real = grid.f_vector
+    seen = []
+
+    def recording(n, p, q, threads=1):
+        seen.append(threads)
+        return real(n, p, q, threads=threads)
+
+    monkeypatch.setattr(grid, "f_vector", recording)
+    instance = ["--n", "2", "--p", "2", "--q", "2", "--threads", "2"]
+    runs = (
+        ["betti", "--method", "direct"],
+        ["export", "--format", "complex-json"],
+        ["verify", "--deep"],
+    )
+    for argv in runs:
+        seen.clear()
+        code, _, _ = run(capsys, *argv, *instance)
+        assert code == 0 and seen and set(seen) == {2}, (argv, seen)
+    seen.clear()
+    code, out, err = run(capsys, "betti", "--method", "direct", *instance, "--cell-cap", "8")
+    assert code == 3 and out == "" and seen == [2]
+    assert "complex for n=2, p=2, q=2 has 32 cells, over the cap of 8" in err
+
+
 def test_betti_morse_cap_exit_3(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a build over the cap must stop before any flow")

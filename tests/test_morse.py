@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import random
 import signal
 
@@ -243,6 +244,22 @@ def test_build_is_pinned_byte_for_byte(threads):
     assert digest == BUILD_555_SHA256
 
 
+SMALL_BUILDS_SHA256 = "41d825e2211056b5db1bb4fdfbd7ba73048e76f16d3a21fb96ec5ae44660934c"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_builds_are_byte_identical_at_each_thread_count(threads, monkeypatch):
+    # every build with n, p, q <= 4, plus (6,4,4), where flows run one corner
+    # set per pool job; two usable CPUs, so threads=2 forks on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sizes = [(n, p, q) for n in range(5) for p in range(1, 5) for q in range(1, 5)]
+    digest = hashlib.sha256()
+    for n, p, q in sizes + [(6, 4, 4)]:
+        mc = morse.build_morse_complex(n, p, q, threads=threads)
+        digest.update(repr((mc.cells, mc.boundaries)).encode())
+    assert digest.hexdigest() == SMALL_BUILDS_SHA256
+
+
 def _cyclic_pairing(monkeypatch):
     "Patch cell_status so both vertices of one (2,2,2) edge pair up with it."
     edge = next(c for c in grid.enumerate_cells(2, 2, 2) if grid.cell_dim(c) == 1)
@@ -347,12 +364,11 @@ def test_build_checks_d2(monkeypatch):
     dropped = []
 
     def corrupt(args):
-        flows = real(args)
-        for i, corners in enumerate(args[3]):
-            if sets[corners] == 2 and not dropped:
-                dropped.append(flows[i][0])
-                flows[i] = flows[i][1:]
-        return flows
+        flow = real(args)
+        if sets[args[3]] == 2 and not dropped:
+            dropped.append(flow[0])
+            flow = flow[1:]
+        return flow
 
     monkeypatch.setattr(morse, "_flow_chunk", corrupt)
     with pytest.raises(AssertionError, match="d o d != 0"):

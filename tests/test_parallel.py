@@ -5,7 +5,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from hardsquares import morse
 from hardsquares.parallel import pmap
+
+import shared
 
 
 def die(_):
@@ -41,3 +44,72 @@ def test_workers_clamped_to_usable_cpus(monkeypatch):
     results = pmap(pid_and_square, range(5), 10**6)
     assert {pid for pid, _ in results} == {os.getpid()}
     assert results == pmap(pid_and_square, range(5), 1)
+
+
+def two_cpus(monkeypatch):
+    # two usable CPUs, so pmap forks on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_jobs_are_dealt_snake_wise(monkeypatch):
+    # rounds of w jobs, every other round dealt from the last worker back
+    for cpus, count, shares in (
+        (2, 7, [{0, 3, 4}, {1, 2, 5, 6}]),
+        (3, 8, [{0, 5, 6}, {1, 4, 7}, {2, 3}]),
+    ):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid, c=cpus: set(range(c)), raising=False
+        )
+        results = pmap(pid_and_square, range(count), cpus)
+        assert [square for _, square in results] == [i * i for i in range(count)]
+        by_pid = {}
+        for i, (pid, _) in enumerate(results):
+            by_pid.setdefault(pid, set()).add(i)
+        assert os.getpid() not in by_pid
+        assert sorted(by_pid.values(), key=min) == shares
+        assert_no_child_left()
+
+
+def pairing_breaks_on_one(job):
+    if job == 1:
+        raise morse.BrokenPairing(f"closed V-path through job {job}")
+    return job
+
+
+def test_worker_exception_keeps_its_type_and_message(monkeypatch):
+    two_cpus(monkeypatch)
+    with pytest.raises(morse.BrokenPairing, match="^closed V-path through job 1$"):
+        pmap(pairing_breaks_on_one, range(4), 2)
+    assert_no_child_left()
+
+
+def first_fails_second_hangs(job):
+    if job == 0:
+        raise ValueError("job 0 failed")
+    time.sleep(60)
+
+
+def test_worker_exception_stops_the_other_workers(monkeypatch):
+    two_cpus(monkeypatch)
+    start = time.monotonic()
+    with shared.deadline(10, "pmap waited for a worker after another one raised"):
+        with pytest.raises(ValueError, match="job 0 failed"):
+            pmap(first_fails_second_hangs, [0, 1], 2)
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def test_no_child_left_after_success_or_a_dead_worker(monkeypatch):
+    two_cpus(monkeypatch)
+    assert [square for _, square in pmap(pid_and_square, range(5), 2)] == [
+        i * i for i in range(5)
+    ]
+    assert_no_child_left()
+    with pytest.raises(BrokenProcessPool):
+        pmap(die, [0, 1], 2)
+    assert_no_child_left()

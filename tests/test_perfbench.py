@@ -34,10 +34,9 @@ SMALL_JOBS = {
 }
 
 
-@pytest.mark.parametrize("workload", sorted(SMALL_JOBS))
-def test_exercised_metrics_move(workload):
-    # a traced perfbench run fails when an exercised metric reads 0 or an
-    # answer is wrong; this runs the same bindings on small jobs
+def traced_small_run(workload):
+    """Problems and per-layer metrics of SMALL_JOBS[workload], traced in a
+    fresh interpreter, so the caches start cold as in a perfbench pass."""
     script = (
         "import json, sys, time\n"
         f"sys.path[:0] = [{os.path.join(ROOT, 'src')!r}, {os.path.join(ROOT, 'perfbench')!r}]\n"
@@ -56,10 +55,31 @@ def test_exercised_metrics_move(workload):
         "    why = checker.problem(job, value)\n"
         "    if why:\n"
         "        problems.append(f'{job}: {why}')\n"
-        "print(json.dumps(problems))\n"
+        "print(json.dumps([problems, layers]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("workload", sorted(SMALL_JOBS))
+def test_exercised_metrics_move(workload):
+    # a traced perfbench run fails when an exercised metric reads 0 or an
+    # answer is wrong; this runs the same bindings on small jobs
+    problems, _ = traced_small_run(workload)
+    assert problems == []
+
+
+def test_traced_cache_counts_repeat():
+    # each pool worker has its own cached_structure LRU, so the hit/miss
+    # split depends on which worker runs which job; pmap's fixed shares
+    # make it the same in every run
+    keys = ("apexgraph.structure_hits", "apexgraph.structure_misses")
+    runs = []
+    for _ in range(2):
+        _, layers = traced_small_run("table5")
+        runs.append([layers[key] for key in keys])
+    assert runs[0] == runs[1]
+    assert all(runs[0])
