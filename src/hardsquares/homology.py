@@ -107,12 +107,14 @@ def rank(matrix, field="gf2", cleared=frozenset()):
     have reduced to zero, which is how betti_of_stream uses it.
 
     Over GF(2) a column is a Python int over rows, XORed with pivot
-    columns.  Over GF(p) it is a dict of entries mod p, and pivot columns
-    are scaled to a leading 1.  Over the rationals it is a dict of integers
-    combined as b*col - a*piv, where a and b are the two leading entries
-    over their gcd, so the arithmetic stays exact in the integers; a
-    column scaled by b, and each new pivot column, is divided by the gcd
-    of its entries to keep them small.
+    columns; each pivot column is stored as (bits >> low, low), low its
+    lowest set bit, so the zeros below it take no memory.  Over GF(p) it
+    is a dict of entries mod p, and pivot columns are scaled to a leading
+    1.  Over the rationals it is a dict of integers combined as
+    b*col - a*piv, where a and b are the two leading entries over their
+    gcd, so the arithmetic stays exact in the integers; a column scaled by
+    b, and each new pivot column, is divided by the gcd of its entries to
+    keep them small.
     """
     _, p = parse_field(field) if isinstance(field, str) else field
     reduce_column = _xor_column if p == 2 else _mod_column if p else _int_column
@@ -132,9 +134,10 @@ def _xor_column(entries, pivots, _):
         top = bits.bit_length() - 1
         piv = pivots.get(top)
         if piv is None:
-            pivots[top] = bits
+            low = (bits & -bits).bit_length() - 1
+            pivots[top] = (bits >> low, low)
             return
-        bits ^= piv
+        bits ^= piv[0] << piv[1]
 
 
 def _mod_column(entries, pivots, p):
@@ -242,10 +245,10 @@ def betti(cc, field="gf2"):
 def betti_of_stream(counts, triples, field="gf2"):
     """Betti numbers from cell counts and (degree, row, col, value) entries.
 
-    The entries of each column must arrive consecutively, as
-    reduce_complex requires.  The complex is shrunk by the coreduction of
-    reduce_complex, which is exact over the integers and so valid for
-    every field.  What is left is ranked one degree at a time from the
+    The entries of each column must arrive consecutively, and the columns
+    of each degree in ascending id order, as reduce_complex requires.  The
+    complex is shrunk by the coreduction of reduce_complex, which is exact
+    over the integers and so valid for every field.  What is left is ranked one degree at a time from the
     top down, with clearing: a column of d_j that is a pivot row of
     d_{j+1} would reduce to zero, because d_j d_{j+1} = 0, so rank skips
     it.  Then

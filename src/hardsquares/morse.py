@@ -330,24 +330,30 @@ class MorseComplex:
         if p > bp or q > bq:
             raise ValueError(f"cannot restrict {self.board} to larger ({p}, {q})")
         block = math.factorial(self.n)
-        keep = []
-        for cells in self.cells:
-            sel = []
-            for start in range(0, len(cells), block):
-                if all(pc.col <= p and pc.row <= q for pc in cells[start]):
-                    sel.extend(range(start, start + block))
-            keep.append({old: new for new, old in enumerate(sel)})
-        cells = [[self.cells[d][i] for i in kept] for d, kept in enumerate(keep)]
+        cells = []
+        new_ids = []  # per dimension: each old id's new id, None if dropped
+        for old in self.cells:
+            kept = []
+            ids = [None] * len(old)
+            for start in range(0, len(old), block):
+                if all(pc.col <= p and pc.row <= q for pc in old[start]):
+                    ids[start:start + block] = range(len(kept), len(kept) + block)
+                    kept.extend(old[start:start + block])
+            cells.append(kept)
+            new_ids.append(ids)
         boundaries = [[]]
         for d in range(1, len(self.cells)):
             tri = []
+            row_ids, col_ids = new_ids[d - 1], new_ids[d]
             for r, c, v in self.boundaries[d]:
-                if c in keep[d]:
-                    if r not in keep[d - 1]:
+                c = col_ids[c]
+                if c is not None:
+                    r = row_ids[r]
+                    if r is None:
                         raise AssertionError(
                             "restriction dropped the boundary of a kept cell"
                         )
-                    tri.append((keep[d - 1][r], keep[d][c], v))
+                    tri.append((r, c, v))
             boundaries.append(tri)
         while len(cells) > 1 and not cells[-1]:
             cells.pop()

@@ -2,9 +2,10 @@
 
 direct_betti builds the full cubical complex with no use of the gradient
 pairing, so it can be compared against the Morse route: the cell counts
-are the f-vector, and one enumeration numbers the cells, in a dict keyed
-by the cell's tuple of pieces, and streams their boundaries into the
-reduction, one cell's entries at a time.  build_chain_complex
+are the f-vector, and one enumeration numbers the cells and streams
+their boundaries into the reduction, one cell's entries at a time; the
+map from cells to ids holds only the window of cells that later cells
+can still have as facets.  build_chain_complex
 materializes the same complex for small instances.  check_cap refuses,
 with CellCapExceeded, a complex whose f-vector total exceeds the cell
 cap.  conf_plane_betti gives the closed-form Betti numbers of the planar
@@ -14,6 +15,8 @@ gas-consistent by comparing against those values.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from . import grid
 from .homology import ChainComplex, betti_of_stream
@@ -40,21 +43,41 @@ def _triple_stream(n, p, q, counts):
     ids maps each cell, a tuple of pieces, to its number in its dimension.
     Every facet comes before its cell (an earlier apex, or an earlier
     extension option of the same apex), so its id is known, and the
-    entries of one cell come together, as reduce_complex needs.  counts is
-    the f-vector; cells numbered by dimension that differ from it raise.
+    entries of one cell come together, in ascending cell ids, as
+    reduce_complex needs.  A cell's dimension is half its number of
+    facets.  counts is the f-vector; cells numbered by dimension that
+    differ from it raise.
+
+    The id map is windowed.  A facet collapses one extension, which keeps
+    each corner or moves one corner one square left or down, so the cells
+    whose first piece has its corner at (c, r) are facets only of cells
+    whose first corner is (c, r), (c, r + 1) or (c + 1, r).  Cells stream
+    in lexicographic apex order, so once the stream's first corner passes
+    (c + 1, r), the ids of those cells are dropped.  A facet whose id was
+    dropped too early would raise KeyError.
     """
     ids = {}
+    window = deque()  # (first corner one square right, its cells), oldest first
+    here = None
     numbered = [0] * len(counts)
     for cell in grid.enumerate_cells(n, p, q):
-        d = grid.cell_dim(cell)
+        facets = grid.boundary(cell)
+        d = len(facets) >> 1
         if d >= len(counts) or numbered[d] == counts[d]:
             raise AssertionError(f"more {d}-cells than the f-vector {counts} has")
         c = numbered[d]
         numbered[d] = c + 1
+        for facet, sign in facets:
+            yield (d, ids[facet], c, sign)
         ids[cell] = c
-        if d:
-            for facet, sign in grid.boundary(cell):
-                yield (d, ids[facet], c, sign)
+        if cell:  # every cell but the one cell of n = 0
+            if cell[0][:2] != here:
+                here = cell[0][:2]
+                while window and window[0][0] < here:
+                    for old in window.popleft()[1]:
+                        del ids[old]
+                window.append(((here[0] + 1, here[1]), []))
+            window[-1][1].append(cell)
     if numbered != list(counts):
         raise AssertionError(f"cells by dimension {numbered}, f-vector {counts}")
 

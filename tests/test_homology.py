@@ -211,6 +211,22 @@ def test_reduce_refuses_a_split_column():
         reduce_complex(counts, stream)
 
 
+def test_reduce_refuses_a_column_split_by_another_degree():
+    # 1-cell column 0 comes back after a 2-cell entry; no column is out of order
+    counts = [2, 1, 1]
+    stream = [(1, 0, 0, -1), (2, 0, 0, 1), (1, 1, 0, 1)]
+    with pytest.raises(ValueError, match="entries of 1-cell column 0 are not consecutive"):
+        reduce_complex(counts, stream)
+
+
+def test_reduce_refuses_an_out_of_order_column():
+    # whole columns, but 1-cell column 1 comes before 1-cell column 0
+    counts = [3, 2]
+    stream = [(1, 1, 1, -1), (1, 2, 1, 1), (1, 0, 0, -1), (1, 1, 0, 1)]
+    with pytest.raises(ValueError, match="1-cell column 1 arrives before 1-cell column 0"):
+        reduce_complex(counts, stream)
+
+
 def test_reduce_preserves_betti_without_units():
     cc = shared.morse_complex(3, 3, 3).chain_complex()
     seeds, counts2, tris2 = reduce_complex(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from hardsquares import grid, oracle
@@ -53,6 +55,19 @@ def test_direct_betti_checks_cells_against_f_vector(monkeypatch):
         for build in (oracle.direct_betti, oracle.build_chain_complex):
             with pytest.raises(AssertionError):
                 build(2, 2, 2)
+
+
+def test_direct_betti_peak_memory():
+    # the boundary stream holds only a window of cell ids, and the reduction
+    # keeps rows and cofaces in flat int32 arrays; holding an id or a coface
+    # list for every cell at once takes about 11 MB here
+    tracemalloc.start()
+    try:
+        assert oracle.direct_betti(4, 3, 3) == (1, 12, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_chain_complex_build():
