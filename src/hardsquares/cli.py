@@ -109,6 +109,12 @@ def _instance_args(parser):
     parser.add_argument("--q", type=_at_least(1), required=True)
 
 
+def _note_if_empty(n, p, q):
+    "The stderr note of betti, fvector and critical on an instance with no cells."
+    if n > p * q:
+        print(f"note: empty complex, n = {n} exceeds the board area {p * q}", file=sys.stderr)
+
+
 def cmd_betti(parser, args):
     n, p, q = args.n, args.p, args.q
     if args.method == "direct":
@@ -118,8 +124,7 @@ def cmd_betti(parser, args):
     else:
         mc = morse.build_morse_complex(n, p, q, threads=args.threads, cap=args.cell_cap)
         bv = mc.betti(args.field)
-    if n > p * q:
-        print(f"note: empty complex, n = {n} exceeds the board area {p * q}", file=sys.stderr)
+    _note_if_empty(n, p, q)
     print(" ".join(str(b) for b in bv))
     print(" ".join(oracle.classify_regime(n, p, q, bv)))
     return 0
@@ -127,6 +132,7 @@ def cmd_betti(parser, args):
 
 def cmd_fvector(parser, args):
     fv = grid.f_vector(args.n, args.p, args.q, threads=args.threads)
+    _note_if_empty(args.n, args.p, args.q)
     print(" ".join(str(x) for x in fv))
     return 0
 
@@ -134,6 +140,7 @@ def cmd_fvector(parser, args):
 def cmd_critical(parser, args):
     n, p, q = args.n, args.p, args.q
     counts = morse.critical_counts(n, p, q)
+    _note_if_empty(n, p, q)
     print(" ".join(str(m) for m in counts))
     if args.dump:
         total = sum(counts)

@@ -13,13 +13,21 @@ cubical boundary, deterministic apex-major enumeration, and f-vectors.
 The f-vector never lists corner sets: the option graph of a corner set is
 a union of paths along the anti-diagonals c + r = d (board_diagonals), so
 a transfer from diagonal to diagonal sums the products of their path
-polynomials, one transfer per pool chunk.  Each transfer state packs its
+polynomials.  One transfer covers the board, run as two pool jobs: a
+forward half from the first diagonal up to a meeting diagonal m and a
+backward half from the last diagonal down to m - 1, both keyed by the
+squares of diagonals m - 1 and m.  Each transfer state packs its
 polynomials, one per number of squares placed, into a single int of
 pq + 2n + 1-bit lanes (Kronecker substitution): every count is below
 2^(pq + 2n), so lanes never carry, and a diagonal step is one big-int
-multiply, shift and mask.  The module owns the complex's
-structural check, check_cell: the facets of a cell are cells, and
-d o d = 0 on it.
+mask, multiply and shift.  The halves meet by multiplying the states of
+each key; both halves counted the key's squares, so each product is
+shifted down by that many blocks before block n, the corner sets of n
+squares, is read.  No lane of block n carries: a product term passes
+lane 2n of its block, or the width of a lane, only when it has more than
+n squares, which puts it above block n, where the mask drops it.  The
+module owns the complex's structural check, check_cell: the facets of a
+cell are cells, and d o d = 0 on it.
 """
 
 from __future__ import annotations
@@ -261,64 +269,139 @@ def _path_poly(k, lane):
     return sum(math.comb(k - m + 1, m) << lane * m for m in range((k + 1) // 2 + 1))
 
 
-def _fvector_chunk(args):
-    """Cell counts by dimension over the corner sets whose lexicographically
-    smallest square is squares[first], squares = board_squares(p, q).
+def _paths_factor(paths, lane):
+    "The packed product of the path polynomials of paths (_path_poly)."
+    factor = 1
+    for path in paths:
+        factor *= _path_poly(len(path), lane)
+    return factor
 
-    A transfer over the anti-diagonals c + r = d (board_diagonals).  The
-    paths of diagonal d depend only on the squares of diagonals d - 2 .. d
-    (apexgraph.diagonal_paths), so a state is the occupied squares of the
-    last two diagonals, and it holds, by the number of squares placed, the
-    sum over its partial corner sets of the product of their path
-    polynomials.  Each step places a subset of the next diagonal's squares
-    that come lexicographically after squares[first], together with
-    squares[first] itself on its own diagonal, and never more than n
-    squares in all.
 
-    A state's polynomial is one int: the coefficient of dimension j with m
-    squares placed sits in lane (2n + 1) * m + j, a lane being
-    pq + 2n + 1 bits, so each count m has a block of 2n + 1 lanes.  A
+def _fvector_half(args):
+    """One half of the anti-diagonal transfer behind f_vector.
+
+    args is (n, p, q, m, forward), m the meeting diagonal, counted from 0
+    in board_diagonals(p, q).  The paths of diagonal d depend only on the
+    squares of diagonals d - 2 .. d (apexgraph.diagonal_paths), so a
+    state is the occupied squares of two neighbouring diagonals, and it
+    holds, by the number of squares placed, the sum over its partial
+    corner sets of the product of their path polynomials.  The forward
+    half places diagonals 0 .. m, multiplying in the paths of each
+    diagonal as it places it.  The backward half places the last diagonal
+    down to m - 1, and multiplies in the paths of diagonal d + 2 as it
+    places d, once the two diagonals below d + 2 are known.  Each half
+    returns its states keyed by (squares of diagonal m - 1, squares of
+    diagonal m), a diagonal outside the board being empty: the forward
+    half has multiplied in the paths of diagonals 0 .. m, the backward
+    half those of m + 1 onwards, and both have counted the squares of
+    diagonals m - 1 and m.  No state holds more than n squares.
+
+    A state's polynomial is one int: the coefficient of dimension j with k
+    squares placed sits in lane (2n + 1) * k + j, a lane being
+    pq + 2n + 1 bits, so each count k has a block of 2n + 1 lanes.  A
     coefficient counts pairs of a partial corner set and a set of its
     options, fewer than 2^(pq + 2n), so no lane carries into the next.  A
     diagonal's path polynomials are packed the same way (_path_poly), and
     one multiplication and a shift by k blocks, k the squares it places,
-    advance a whole state.  Block m times that factor has dimension at most
-    2(m + k), as m squares have at most 2m options, so it passes lane 2n of
-    its block, and spills into the next, only when m + k > n: the spill
-    lands above block n.  The mask keeps blocks 0 .. n and drops every such
-    block, spill included.
+    advance a whole state.  A term's dimension is at most twice its
+    squares, a square having at most two options, so block i times that
+    factor has dimension at most 2(i + k): it passes lane 2n of its block,
+    and spills into the next, only when i + k > n, which would put it above
+    block n anyway.  So the state is masked to blocks 0 .. n - k before the
+    multiplication, and the product needs no mask.  Going backward, the paths of diagonal d + 2 see of diagonal d
+    only the squares down-left of theirs, so one state's factors are
+    cached by the chosen squares among those.
     """
-    n, p, q, first = args
+    n, p, q, m, forward = args
     from .apexgraph import diagonal_paths
 
     lane = p * q + 2 * n + 1
     block = (2 * n + 1) * lane
     keep = (1 << block * (n + 1)) - 1
-    start = board_squares(p, q)[first]
-    # (squares of diagonal d - 1, squares of diagonal d) -> packed polynomial
+    diagonals = board_diagonals(p, q)
+    # once d is placed, forward: (squares of d - 1, squares of d) -> packed
+    # polynomial; backward: (squares of d, squares of d + 1) -> packed polynomial
     states = {((), ()): 1}
-    for diagonal in board_diagonals(p, q):
-        forced = (start,) if start in diagonal else ()
-        free = [s for s in diagonal if s > start]
+    for d in range(m + 1) if forward else range(len(diagonals) - 1, m - 2, -1):
+        free = diagonals[d] if 0 <= d < len(diagonals) else []
         step = {}
-        for (older, old), poly in states.items():
+        for (low, high), poly in states.items():
             # the fewest squares placed: the block of the lowest set bit
             fewest = ((poly & -poly).bit_length() - 1) // block
-            for k in range(len(free) + 1):
-                if fewest + len(forced) + k > n:
-                    break
-                for extra in itertools.combinations(free, k):
-                    chosen = forced + extra
-                    factor = 1
-                    for path in diagonal_paths(chosen, {*older, *old, *chosen}):
-                        factor *= _path_poly(len(path), lane)
-                    key = (old, chosen)
-                    term = (poly * factor << block * len(chosen)) & keep
-                    step[key] = step.get(key, 0) + term
+            placed = {*low, *high}
+            # going backward: the squares down-left of high's, and the
+            # factors of this state by the chosen squares among them
+            corners = {(c - 1, r - 1) for c, r in high}
+            factors = {}
+            for k in range(min(len(free), n - fewest) + 1):
+                shift = block * k
+                part = poly & keep >> shift
+                for chosen in itertools.combinations(free, k):
+                    if forward:
+                        # the paths of d, below it high and low
+                        key = (high, chosen)
+                        factor = _paths_factor(diagonal_paths(chosen, placed.union(chosen)), lane)
+                    else:
+                        # the paths of d + 2, below it low and chosen; of d
+                        # they see only the corners
+                        key = (chosen, low)
+                        seen = tuple(s for s in chosen if s in corners)
+                        factor = factors.get(seen)
+                        if factor is None:
+                            factor = _paths_factor(diagonal_paths(high, placed.union(seen)), lane)
+                            factors[seen] = factor
+                    step[key] = step.get(key, 0) + (part * factor << shift)
         states = step
-    top = sum(states.values()) >> block * n
+    return states
+
+
+def _meeting_diagonal(p, q):
+    """The meeting diagonal of f_vector's two halves on a p x q board.
+
+    A step that places diagonal d works through the subsets of a window of
+    three diagonals: d - 2 .. d going forward, d .. d + 2 going backward.
+    Meeting at m, the forward half takes the windows ending at diagonals
+    0 .. m and the backward half those ending at m + 1 onwards, so the two
+    halves share out the windows of one transfer over the board.  m is the
+    diagonal that gives the two halves the closest numbers of window
+    subsets, 2 to the squares in each window, taking the lower m on a tie.
+    """
+    widths = [len(d) for d in board_diagonals(p, q)]
+
+    def width(d):
+        return widths[d] if 0 <= d < len(widths) else 0
+
+    work = [2 ** (width(e - 2) + width(e - 1) + width(e)) for e in range(len(widths) + 2)]
+    return min(range(len(widths)), key=lambda m: abs(sum(work[: m + 1]) - sum(work[m + 1 :])))
+
+
+def _fvector_counts(n, p, q, m, threads=1):
+    """Corner sets of n squares times their option sets, by dimension: the
+    f-vector before the n! labelings.
+
+    Two pool jobs, the halves of the transfer meeting at diagonal m
+    (_fvector_half).  The halves' polynomials of one key multiply into
+    the sum over the corner sets through that key's squares, but the
+    squares of diagonals m - 1 and m are counted in both halves: a corner
+    set of n squares lands in block n + o of the product, o the key's
+    squares, so the product is shifted down o blocks, and block n is kept.
+    No lane below that block carries, as the only terms that pass lane 2n
+    of their block or the width of a lane have more than n squares, and so
+    lie above block n + o before the shift and are masked off after it.
+    """
+    from .parallel import pmap
+
+    lane = p * q + 2 * n + 1
+    block = (2 * n + 1) * lane
+    one_block = (1 << block) - 1
+    ahead, behind = pmap(_fvector_half, [(n, p, q, m, True), (n, p, q, m, False)], threads)
+    top = 0
+    for key, poly in ahead.items():
+        other = behind.get(key)
+        if other:
+            top += (poly * other >> block * (n + len(key[0]) + len(key[1]))) & one_block
     total = [(top >> lane * j) & ((1 << lane) - 1) for j in range(2 * n + 1)]
-    while len(total) > 1 and total[-1] == 0:
+    while total and total[-1] == 0:
         total.pop()
     return total
 
@@ -329,14 +412,18 @@ def f_vector(n, p, q, threads=1):
     Counts per apex via the path decomposition of its conflict graph, so
     the complex itself is never materialized: the cells of one corner set
     are counted by the product of its path polynomials.  Unordered corner
-    sets are counted once and scaled by n!.  One pool job per smallest
-    square, each an anti-diagonal transfer (_fvector_chunk) whose states
-    are single ints packing a polynomial in the dimension for each number
-    of squares placed, 0 .. n: lanes of pq + 2n + 1 bits hold counts below
-    2^(pq + 2n) without carrying, and the blocks above n, the only ones a
-    too-high dimension spills into, are masked off at every step.  The
-    jobs' lists are added elementwise.  Raises ValueError when n, p or q is
-    negative.
+    sets are counted once and scaled by n!.  One transfer over the
+    anti-diagonals counts them, split at a meeting diagonal picked from
+    the board (_meeting_diagonal) into a forward and a backward half, two
+    pool jobs whose states are single ints packing a polynomial in the
+    dimension for each number of squares placed, 0 .. n: lanes of
+    pq + 2n + 1 bits hold counts below 2^(pq + 2n) without carrying, and
+    the blocks that would land above n, the only ones a too-high
+    dimension spills into, are masked off at every step.  The halves meet
+    on the squares of the two diagonals at the meeting point, which both
+    count, so each product of matching states is shifted down by those
+    squares' blocks before block n is read (_fvector_counts).  Raises
+    ValueError when n, p or q is negative.
     """
     for name, value in (("n", n), ("p", p), ("q", q)):
         if value < 0:
@@ -345,17 +432,8 @@ def f_vector(n, p, q, threads=1):
         return ()
     if n == 0:
         return (1,)
-    from .parallel import pmap
-
-    jobs = [(n, p, q, first) for first in range(0, p * q - n + 1)]
-    total = [0] * (2 * n + 1)
-    for part in pmap(_fvector_chunk, jobs, threads):
-        for j, x in enumerate(part):
-            total[j] += x
     scale = math.factorial(n)
-    while total and total[-1] == 0:
-        total.pop()
-    return tuple(x * scale for x in total)
+    return tuple(x * scale for x in _fvector_counts(n, p, q, _meeting_diagonal(p, q), threads))
 
 
 def sliding_puzzle_counts(p, q):

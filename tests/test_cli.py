@@ -197,6 +197,14 @@ def test_fvector_666_at_each_thread_count(capsys):
         ), threads
 
 
+@pytest.mark.parametrize("command", ["fvector", "critical", "betti"])
+def test_empty_complex_is_noted_on_stderr(capsys, command):
+    code, out, err = run(capsys, command, "--n", "5", "--p", "2", "--q", "2")
+    assert code == 0
+    assert out == ("\n\n" if command == "betti" else "\n")
+    assert err == "note: empty complex, n = 5 exceeds the board area 4\n"
+
+
 def test_critical_command(capsys, tmp_path):
     code, out, _ = run(capsys, "critical", "--n", "2", "--p", "2", "--q", "2")
     assert code == 0 and out == "4 4\n"

@@ -1,11 +1,12 @@
 import itertools
 import math
 import operator
+import pickle
 import random
 
 import pytest
 
-from hardsquares import grid, morse
+from hardsquares import grid, morse, parallel
 from hardsquares.grid import Piece
 
 from reference import FVECTORS
@@ -189,6 +190,37 @@ def test_f_vector_beyond_the_brute_force():
         assert euler(fv) == euler(morse.critical_counts(n, p, q)) == chi, (n, p, q)
         if (n, p, q) == (6, 6, 6):
             assert fv == F666
+
+
+# perfbench's census boards: 2 <= p <= q <= 5, 2 <= n <= min(6, pq)
+CENSUS = [
+    (n, p, q)
+    for p in range(2, 6)
+    for q in range(p, 6)
+    for n in range(2, min(6, p * q) + 1)
+]
+
+
+def test_f_vector_is_two_pool_jobs(monkeypatch):
+    # each f-vector is one pmap call of two jobs, the halves of one
+    # transfer, so a census pass runs 96 jobs; two threads ship each half's
+    # states back pickled, which the stand-in does without forking
+    calls = []
+
+    def pmap(fn, jobs, threads):
+        calls.append((len(jobs), threads))
+        if threads == 1:
+            return [fn(job) for job in jobs]
+        return [pickle.loads(pickle.dumps(fn(job))) for job in jobs]
+
+    monkeypatch.setattr(parallel, "pmap", pmap)
+    for n, p, q in CENSUS + [(7, 4, 5)]:
+        calls.clear()
+        one = grid.f_vector(n, p, q, threads=1)
+        two = grid.f_vector(n, p, q, threads=2)
+        assert one == two, (n, p, q)
+        assert calls == [(2, 1), (2, 2)], (n, p, q, calls)
+    assert len(CENSUS) == 48
 
 
 def test_f_vector_matches_enumeration():

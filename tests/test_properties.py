@@ -39,15 +39,21 @@ entry changed (mostly d o d != 0), and on the unchanged ones (d o d = 0):
 it raises exactly when some product is nonzero, at the lowest such
 degree, and names a nonzero entry of that product.
 
-grid._fvector_chunk, a transfer over the anti-diagonals, is checked
-against the plain sum over its corner sets, one product of path
-polynomials each, on every chunk of the census boards (2 <= p <= q <= 5),
-one-row and one-column boards up to length 6 and the transposed boards
-q < p <= 4, for n up to 6 and for n = pq - 1 and n = pq, and for every n
-from 1 to pq on the 3x4, 4x3, 2x6, 6x2 and 4x4 boards, whose middle n put
-the largest counts in the lanes of its packed states.  _path_poly(k, lane)
-must unpack, lane by lane, to the comb(k - m + 1, m) independent sets of
-size m of a k-vertex path.
+grid._fvector_counts, the two halves of the transfer over the
+anti-diagonals multiplied together at the meeting diagonal f_vector picks,
+is checked against the plain sum over all corner sets, one product of
+path polynomials each, summed chunk by chunk (reference_fvector_chunk
+lists the corner sets with one smallest square), on the census boards
+(2 <= p <= q <= 5), one-row and one-column boards up to length 6 and the
+transposed boards q < p <= 4, for n up to 6 and for n = pq - 1 and
+n = pq, and for every n from 1 to pq on the 3x4, 4x3, 2x6, 6x2 and 4x4
+boards, whose middle n put the largest counts in the lanes of its packed
+states.  On the boards of at most 12 squares every meeting diagonal must
+give the same counts, at every n: the halves count the squares of the
+two diagonals they meet on twice, and a combine that shifted the
+products by one block more or less would move counts between sizes.
+_path_poly(k, lane) must unpack, lane by lane, to the comb(k - m + 1, m)
+independent sets of size m of a k-vertex path.
 """
 
 import re
@@ -507,16 +513,28 @@ FVECTOR_BOARDS = sorted(
 )
 
 
+def reference_fvector_counts(n, p, q):
+    "The f-vector before the n! scale: the plain chunks summed over their first squares."
+    total = []
+    for first in range(p * q - n + 1):
+        part = reference_fvector_chunk(n, p, q, first)
+        total.extend([0] * (len(part) - len(total)))
+        for j, x in enumerate(part):
+            total[j] += x
+    return total
+
+
+def fvector_counts(n, p, q):
+    return grid._fvector_counts(n, p, q, grid._meeting_diagonal(p, q))
+
+
 @pytest.mark.parametrize("board", FVECTOR_BOARDS, ids="{0[0]}x{0[1]}".format)
 def test_fvector_chunk_matches_plain_enumeration(board):
     p, q = board
     area = p * q
     sizes = set(range(1, min(6, area) + 1)) | {area - 1, area}
     for n in sorted(sizes - {0}):
-        for first in range(area - n + 1):
-            assert grid._fvector_chunk((n, p, q, first)) == reference_fvector_chunk(
-                n, p, q, first
-            ), (n, p, q, first)
+        assert fvector_counts(n, p, q) == reference_fvector_counts(n, p, q), (n, p, q)
 
 
 @pytest.mark.parametrize(
@@ -525,12 +543,19 @@ def test_fvector_chunk_matches_plain_enumeration(board):
 def test_fvector_chunk_matches_plain_enumeration_at_every_size(board):
     # the middle sizes hold the largest coefficients in the packed lanes
     p, q = board
-    area = p * q
-    for n in range(1, area + 1):
-        for first in range(area - n + 1):
-            assert grid._fvector_chunk((n, p, q, first)) == reference_fvector_chunk(
-                n, p, q, first
-            ), (n, p, q, first)
+    for n in range(1, p * q + 1):
+        assert fvector_counts(n, p, q) == reference_fvector_counts(n, p, q), (n, p, q)
+
+
+@pytest.mark.parametrize(
+    "board", [b for b in FVECTOR_BOARDS if b[0] * b[1] <= 12], ids="{0[0]}x{0[1]}".format
+)
+def test_fvector_counts_agree_at_every_meeting_diagonal(board):
+    p, q = board
+    for n in range(1, p * q + 1):
+        expected = reference_fvector_counts(n, p, q)
+        for m in range(p + q - 1):
+            assert grid._fvector_counts(n, p, q, m) == expected, (n, p, q, m)
 
 
 @settings(max_examples=200, deadline=None)
