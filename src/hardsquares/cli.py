@@ -254,6 +254,9 @@ def _verify_checks(args):
         assert morse.verify_acyclic(n, p, q), "closed V-path found"
 
     def oracle_agreement():
+        # refuse with the total at hand: direct_betti's own cap check
+        # would count the f-vector again
+        within(args.cell_cap)
         bv = oracle.direct_betti(n, p, q, "gf2", cap=args.cell_cap, threads=args.threads)
         assert bv == state["betti"], (
             f"direct route gives {bv}, morse route gives {state['betti']}"

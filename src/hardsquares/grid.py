@@ -16,18 +16,20 @@ a transfer from diagonal to diagonal sums the products of their path
 polynomials.  One transfer covers the board, run as two pool jobs: a
 forward half from the first diagonal up to a meeting diagonal m and a
 backward half from the last diagonal down to m - 1, both keyed by the
-squares of diagonals m - 1 and m.  Each transfer state packs its
-polynomials, one per number of squares placed, into a single int of
-pq + 2n + 1-bit lanes (Kronecker substitution): every count is below
-2^(pq + 2n), so lanes never carry, and a diagonal step is one big-int
-mask, multiply and shift.  The halves meet by multiplying the states of
-each key; both halves counted the key's squares, so each product is
-shifted down by that many blocks before block n, the corner sets of n
-squares, is read.  No lane of block n carries: a product term passes
-lane 2n of its block, or the width of a lane, only when it has more than
-n squares, which puts it above block n, where the mask drops it.  The
-module owns the complex's structural check, check_cell: the facets of a
-cell are cells, and d o d = 0 on it.
+squares of diagonals m - 1 and m.  The jobs fork only on boards whose
+transfer works through enough window subsets to pay for the fork
+(_FORK_SUBSETS); smaller transfers run both halves in the caller.  Each
+transfer state packs its polynomials, one per number of squares placed,
+into a single int of pq + 2n + 1-bit lanes (Kronecker substitution):
+every count is below 2^(pq + 2n), so lanes never carry, and a diagonal
+step is one big-int mask, multiply and shift.  The halves meet by
+multiplying the states of each key; both halves counted the key's
+squares, so each product is shifted down by that many blocks before
+block n, the corner sets of n squares, is read.  No lane of block n
+carries: a product term passes lane 2n of its block, or the width of a
+lane, only when it has more than n squares, which puts it above block n,
+where the mask drops it.  The module owns the complex's structural
+check, check_cell: the facets of a cell are cells, and d o d = 0 on it.
 """
 
 from __future__ import annotations
@@ -355,24 +357,49 @@ def _fvector_half(args):
     return states
 
 
-def _meeting_diagonal(p, q):
-    """The meeting diagonal of f_vector's two halves on a p x q board.
+def _windows(p, q):
+    """The squares in each window of the transfer over a p x q board.
 
     A step that places diagonal d works through the subsets of a window of
     three diagonals: d - 2 .. d going forward, d .. d + 2 going backward.
-    Meeting at m, the forward half takes the windows ending at diagonals
-    0 .. m and the backward half those ending at m + 1 onwards, so the two
-    halves share out the windows of one transfer over the board.  m is the
-    diagonal that gives the two halves the closest numbers of window
-    subsets, 2 to the squares in each window, taking the lower m on a tie.
+    Window e holds diagonals e - 2 .. e, for e = 0 .. D + 1 on a board of D
+    diagonals, a diagonal outside the board being empty: the forward half
+    meeting at m takes windows 0 .. m and the backward half the rest, so
+    the two halves share out the windows of one transfer over the board.
     """
     widths = [len(d) for d in board_diagonals(p, q)]
 
     def width(d):
         return widths[d] if 0 <= d < len(widths) else 0
 
-    work = [2 ** (width(e - 2) + width(e - 1) + width(e)) for e in range(len(widths) + 2)]
-    return min(range(len(widths)), key=lambda m: abs(sum(work[: m + 1]) - sum(work[m + 1 :])))
+    return [width(e - 2) + width(e - 1) + width(e) for e in range(len(widths) + 2)]
+
+
+def _meeting_diagonal(p, q):
+    """The meeting diagonal of f_vector's two halves on a p x q board.
+
+    m is the diagonal that gives the two halves the closest numbers of
+    window subsets (_windows), 2 to the squares in each window, taking the
+    lower m on a tie.
+    """
+    work = [2**w for w in _windows(p, q)]
+    return min(range(len(work) - 2), key=lambda m: abs(sum(work[: m + 1]) - sum(work[m + 1 :])))
+
+
+# The fewest window subsets of at most n squares (_window_subsets) at which
+# f_vector runs its two halves in two processes rather than in the caller.
+# Measured on a 2-core VM with Python 3.11, 150 interleaved pairs of
+# f_vector calls per board in one process, forked against serial: forking
+# lost a median 2.3 ms on (7,4,5) (4,784 subsets, 25.7 ms serially), broke
+# even on (5,5,5) (6,462 subsets, 28.5 ms; 0.2 ms lost, faster in 71 of 150
+# pairs) and won 3.3 ms on (6,5,5) (10,196 subsets, 48.7 ms).  A two-worker
+# pmap of trivial jobs costs 3.5-4.5 ms there.
+_FORK_SUBSETS = 8_000
+
+
+def _window_subsets(n, p, q):
+    "The transfer's work: subsets of at most n squares of each window (_windows), summed."
+    return sum(sum(math.comb(w, k) for k in range(min(n, w) + 1)) for w in _windows(p, q))
 
 
 def _fvector_counts(n, p, q, m, threads=1):
@@ -380,20 +407,25 @@ def _fvector_counts(n, p, q, m, threads=1):
     f-vector before the n! labelings.
 
     Two pool jobs, the halves of the transfer meeting at diagonal m
-    (_fvector_half).  The halves' polynomials of one key multiply into
-    the sum over the corner sets through that key's squares, but the
-    squares of diagonals m - 1 and m are counted in both halves: a corner
-    set of n squares lands in block n + o of the product, o the key's
-    squares, so the product is shifted down o blocks, and block n is kept.
-    No lane below that block carries, as the only terms that pass lane 2n
-    of their block or the width of a lane have more than n squares, and so
-    lie above block n + o before the shift and are masked off after it.
+    (_fvector_half), passed threads once the transfer's work
+    (_window_subsets) reaches the break-even _FORK_SUBSETS and run in the
+    caller below it, where a fork costs more than the split saves.  The
+    halves' polynomials of one key multiply into the sum over the corner
+    sets through that key's squares, but the squares of diagonals m - 1 and
+    m are counted in both halves: a corner set of n squares lands in block
+    n + o of the product, o the key's squares, so the product is shifted
+    down o blocks, and block n is kept.  No lane below that block carries, as the
+    only terms that pass lane 2n of their block or the width of a lane have
+    more than n squares, and so lie above block n + o before the shift and
+    are masked off after it.
     """
     from .parallel import pmap
 
     lane = p * q + 2 * n + 1
     block = (2 * n + 1) * lane
     one_block = (1 << block) - 1
+    if _window_subsets(n, p, q) < _FORK_SUBSETS:
+        threads = 1
     ahead, behind = pmap(_fvector_half, [(n, p, q, m, True), (n, p, q, m, False)], threads)
     top = 0
     for key, poly in ahead.items():
@@ -415,8 +447,9 @@ def f_vector(n, p, q, threads=1):
     sets are counted once and scaled by n!.  One transfer over the
     anti-diagonals counts them, split at a meeting diagonal picked from
     the board (_meeting_diagonal) into a forward and a backward half, two
-    pool jobs whose states are single ints packing a polynomial in the
-    dimension for each number of squares placed, 0 .. n: lanes of
+    pool jobs, forked on threads workers only where that pays
+    (_FORK_SUBSETS), whose states are single ints packing a polynomial in
+    the dimension for each number of squares placed, 0 .. n: lanes of
     pq + 2n + 1 bits hold counts below 2^(pq + 2n) without carrying, and
     the blocks that would land above n, the only ones a too-high
     dimension spills into, are masked off at every step.  The halves meet

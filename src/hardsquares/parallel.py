@@ -9,14 +9,20 @@ holds the job list.  Each worker runs a fixed share, dealt snake-wise:
 job i goes to worker i mod w on even rounds of w jobs and to worker
 w - 1 - (i mod w) on odd rounds, so callers that list heavy jobs first
 get balanced shares, and which worker runs a job never depends on timing.
-A worker sends one pickled list of its results, or its exception, down a
-pipe and leaves with os._exit.  The parent reads the pipes in worker
-order and re-raises a worker's exception with its type; a worker that
-dies (killed, or calling os._exit) before sending all of its results makes
-pmap raise concurrent.futures.process.BrokenProcessPool instead of
-waiting forever.  Every worker is reaped before pmap returns or raises,
-and killed first when pmap raises.  As with any fork, the calling process
-must run no other threads; hardsquares starts none.
+A worker pickles one list of its results, or its exception, straight
+into a pipe (pickle.dump) and leaves with os._exit; the parent reads the
+pipes in worker order, unpickling from each as it reads (pickle.load), so
+neither side holds a whole payload as bytes beside the objects it
+stands for.  The parent re-raises a worker's exception with its type.  A
+worker that dies (killed, or calling os._exit) before sending all of its
+results, or whose results cannot be pickled, ends its stream early and
+exits non-zero; pmap then raises
+concurrent.futures.process.BrokenProcessPool instead of waiting forever
+or trusting the truncated stream.  That module is imported only to
+raise, so a pmap that succeeds never loads it.  Every worker is reaped
+before pmap returns or raises, and killed first when pmap raises.  As
+with any fork, the calling process must run no other threads;
+hardsquares starts none.
 """
 
 from __future__ import annotations
@@ -42,19 +48,19 @@ def _shares(count, workers):
 
 def _work(fn, jobs, share, read_end, write_end):
     """A forked worker's whole life: run its share of the jobs and pickle the
-    results, or the exception, into the pipe.  Never returns."""
+    results, or the exception, into the pipe.  Never returns; exits 0 only
+    once the whole stream is written."""
     code = 1
     try:
         import pickle
 
         os.close(read_end)
         try:
-            results = [fn(jobs[i]) for i in share]
-            payload = pickle.dumps((True, results), pickle.HIGHEST_PROTOCOL)
+            outcome = True, [fn(jobs[i]) for i in share]
         except BaseException as exc:  # KeyboardInterrupt too: pmap re-raises it
-            payload = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            outcome = False, exc
         with open(write_end, "wb") as pipe:
-            pipe.write(payload)
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
@@ -69,7 +75,6 @@ def pmap(fn, jobs, threads):
     # imported here, so that the serial path and importing the package load neither
     import pickle
     import signal
-    from concurrent.futures.process import BrokenProcessPool
 
     shares = _shares(len(jobs), workers)
     children = {}  # pid -> read end of its pipe, until the worker is reaped
@@ -84,16 +89,21 @@ def pmap(fn, jobs, threads):
         results = [None] * len(jobs)
         for pid, share in zip(list(children), shares):
             with open(children[pid], "rb", closefd=False) as pipe:
-                payload = pipe.read()
+                try:
+                    done, value = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    # a truncated stream: the exit status says why
+                    done, value = False, exc
             _, status = os.waitpid(pid, 0)
             os.close(children.pop(pid))
-            # a worker exits 0 only after writing its whole payload
+            # a worker exits 0 only after writing its whole stream
             if status:
+                from concurrent.futures.process import BrokenProcessPool
+
                 raise BrokenProcessPool(
                     f"worker {pid} ended with status {os.waitstatus_to_exitcode(status)}"
                     " before sending its results"
                 )
-            done, value = pickle.loads(payload)
             if not done:
                 raise value
             for i, result in zip(share, value):

@@ -494,6 +494,27 @@ def test_verify_size_skip_is_a_cap_refusal(capsys):
     )
 
 
+def test_verify_counts_the_f_vector_once_over_the_cell_cap(capsys, monkeypatch):
+    # the direct route's check refuses with the total verify already has,
+    # so an over-cap --deep run counts the f-vector once, not twice
+    real = grid.f_vector
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "f_vector", counted)
+    code, out, _ = run(
+        capsys, "verify", "--n", "3", "--p", "3", "--q", "3", "--deep", "--cell-cap", "1000"
+    )
+    assert code == 0 and calls == [(3, 3, 3)]
+    assert out.splitlines()[-1] == (
+        "ok: direct homology agrees with morse route (skipped,"
+        " complex for n=3, p=3, q=3 has 4272 cells, over the cap of 1000)"
+    )
+
+
 def test_inspect_command(capsys):
     code, out, _ = run(
         capsys, "inspect", "--corners", "1,2;2,1", "--p", "2", "--q", "2"

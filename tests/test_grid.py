@@ -204,7 +204,9 @@ CENSUS = [
 def test_f_vector_is_two_pool_jobs(monkeypatch):
     # each f-vector is one pmap call of two jobs, the halves of one
     # transfer, so a census pass runs 96 jobs; two threads ship each half's
-    # states back pickled, which the stand-in does without forking
+    # states back pickled, which the stand-in does without forking.  The
+    # transfer passes threads on only from the break-even up, and runs
+    # smaller transfers in the caller
     calls = []
 
     def pmap(fn, jobs, threads):
@@ -214,13 +216,20 @@ def test_f_vector_is_two_pool_jobs(monkeypatch):
         return [pickle.loads(pickle.dumps(fn(job))) for job in jobs]
 
     monkeypatch.setattr(parallel, "pmap", pmap)
+    forked = set()
     for n, p, q in CENSUS + [(7, 4, 5)]:
         calls.clear()
         one = grid.f_vector(n, p, q, threads=1)
         two = grid.f_vector(n, p, q, threads=2)
         assert one == two, (n, p, q)
-        assert calls == [(2, 1), (2, 2)], (n, p, q, calls)
+        passed = 2 if grid._window_subsets(n, p, q) >= grid._FORK_SUBSETS else 1
+        assert calls == [(2, 1), (2, passed)], (n, p, q, calls)
+        if passed == 2:
+            forked.add((n, p, q))
     assert len(CENSUS) == 48
+    # the largest census board forks; (7,4,5), 4,784 subsets, and the rest
+    # run in the caller
+    assert forked == {(6, 5, 5)}
 
 
 def test_f_vector_matches_enumeration():

@@ -1,11 +1,14 @@
 import os
 import signal
+import subprocess
+import sys
 import time
+import tracemalloc
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from hardsquares import morse
+from hardsquares import morse, parallel
 from hardsquares.parallel import pmap
 
 import shared
@@ -112,4 +115,66 @@ def test_no_child_left_after_success_or_a_dead_worker(monkeypatch):
     assert_no_child_left()
     with pytest.raises(BrokenProcessPool):
         pmap(die, [0, 1], 2)
+    assert_no_child_left()
+
+
+def test_a_pmap_that_succeeds_leaves_the_pool_module_unloaded():
+    # pmap needs concurrent.futures.process only to raise BrokenProcessPool,
+    # so a fresh interpreter whose workers all succeed never imports it
+    script = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from hardsquares.parallel import pmap
+
+def pid(job):
+    return os.getpid()
+
+pids = pmap(pid, [0, 1], 2)
+assert len(set(pids)) == 2 and os.getpid() not in pids, pids
+assert "concurrent.futures.process" not in sys.modules
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parallel.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def unpicklable(job):
+    return lambda: job
+
+
+def test_a_result_that_cannot_be_pickled_breaks_the_pool(monkeypatch):
+    # the worker's stream ends part-way, so pmap trusts its exit status
+    two_cpus(monkeypatch)
+    start = time.monotonic()
+    with shared.deadline(10, "pmap still blocked on a result that cannot be pickled"):
+        with pytest.raises(BrokenProcessPool):
+            pmap(unpicklable, [0, 1], 2)
+    assert time.monotonic() - start < 10
+    assert_no_child_left()
+
+
+def big_ints(count):
+    "count ints of about 10 kB each"
+    return [(1 << 80_000) | i for i in range(count)]
+
+
+def test_a_large_result_is_unpickled_as_it_streams(monkeypatch):
+    # about 20 MB of results: holding the pickled bytes beside them would
+    # peak near twice that
+    two_cpus(monkeypatch)
+    tracemalloc.start()
+    try:
+        results = pmap(big_ints, [2000, 0], 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(map(sys.getsizeof, results[0]))
+    assert size > 20_000_000
+    assert results == [big_ints(2000), []]
+    assert peak < 1.5 * size, f"peak {peak / 1e6:.1f} MB for {size / 1e6:.1f} MB of results"
     assert_no_child_left()
