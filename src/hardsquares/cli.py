@@ -24,7 +24,9 @@ one line each, of a vertex-list export), 1 a verify check failed or the
 gradient pairing has a closed V-path (BrokenPairing), 4 a worker process died
 (BrokenProcessPool), 141 (128 + SIGPIPE) the reader of stdout closed it
 early; the rest of the output is dropped without a traceback.  main maps
-the exceptions to their codes.  verify reports a check over its size
+the exceptions to their codes; it looks BrokenProcessPool up only once
+something has loaded concurrent.futures.process, so importing the CLI
+does not load that module.  verify reports a check over its size
 limit as skipped, with the CellCapExceeded text.
 """
 
@@ -37,7 +39,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from . import grid, morse, oracle
 from .apexgraph import ApexGraph
@@ -362,7 +363,11 @@ def main(argv=None):
     except morse.BrokenPairing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BrokenProcessPool as exc:
+    except RuntimeError as exc:
+        # parallel.pmap loads this module only to raise BrokenProcessPool
+        pool = sys.modules.get("concurrent.futures.process")
+        if pool is None or not isinstance(exc, pool.BrokenProcessPool):
+            raise
         print(f"error: a worker process died: {exc}", file=sys.stderr)
         return EXIT_WORKER
     return code

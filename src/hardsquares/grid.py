@@ -29,7 +29,8 @@ block n, the corner sets of n squares, is read.  No lane of block n
 carries: a product term passes lane 2n of its block, or the width of a
 lane, only when it has more than n squares, which puts it above block n,
 where the mask drops it.  The module owns the complex's structural
-check, check_cell: the facets of a cell are cells, and d o d = 0 on it.
+check, check_cell: the facets of a cell are cells, d o d = 0 on it, and
+the two endpoints of each extension have opposite signs.
 """
 
 from __future__ import annotations
@@ -143,14 +144,20 @@ def boundary(cell):
 
 
 def check_cell(cell):
-    """Raise AssertionError unless every facet of cell is a valid cell and
-    the boundary of its boundary is zero."""
+    """Raise AssertionError unless every facet of cell is a valid cell, the
+    boundary of its boundary is zero, and the corner and far facets of each
+    collapsed extension, listed one after the other by boundary, have
+    opposite signs (d o d = 0 still holds, and GF(2) sees no change, when
+    both get the same sign)."""
+    facets = boundary(cell)
     acc = {}
-    for facet, s in boundary(cell):
+    for facet, s in facets:
         assert is_valid_cell(facet), f"invalid facet of {cell}"
         for f2, s2 in boundary(facet):
             acc[f2] = acc.get(f2, 0) + s * s2
     assert not any(acc.values()), f"d o d != 0 at {cell}"
+    for (_, s), (_, t) in zip(facets[::2], facets[1::2]):
+        assert s == -t, f"corner and far facets of one extension have one sign at {cell}"
 
 
 def cell_vertices(cell):

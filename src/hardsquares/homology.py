@@ -1,22 +1,27 @@
 """Exact linear algebra for chain complexes of free abelian groups.
 
-Boundary matrices are stored as sparse integer triplets.  Every Betti
+A ChainComplex holds each boundary map in flat column-major arrays: per
+degree, the start of each column, the rows of every column in ascending
+order, and their coefficients (ChainComplex says how).  Every Betti
 number, whether of a Morse complex or of a full cubical complex, comes
 from betti_of_stream: the complex is shrunk by the coreduction of
 reduce.reduce_complex, and the ranks of what is left give the Betti
-numbers.  One elimination serves every field: rank reduces columns in id
-order, pivoting on the highest row, and betti_of_stream ranks the
-degrees from the top down so that columns known to reduce to zero are
-skipped (clearing).  Pivots are chosen by fixed rules, so results are
-deterministic.  Only validate_d2 checks that the boundary squares to
-zero, one column of d_j at a time; the Morse build runs it once.
+numbers; betti streams a ChainComplex's columns into it as they are
+stored.  One elimination serves every field: rank reduces the columns of
+a SparseMatrix of triplets in id order, pivoting on the highest row, and
+betti_of_stream ranks the degrees from the top down so that columns
+known to reduce to zero are skipped (clearing).  Pivots are chosen by
+fixed rules, so results are deterministic.  Only validate_d2 checks that
+the boundary squares to zero, one column of d_j at a time against the
+columns of d_{j-1}; the Morse build runs it once.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import groupby
-from operator import itemgetter
+from array import array
+from itertools import accumulate, chain, groupby, repeat
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .reduce import reduce_complex
@@ -31,20 +36,57 @@ class SparseMatrix(NamedTuple):
 
 
 class ChainComplex(NamedTuple):
-    """Cell counts per dimension and the boundary triplets between them.
+    """Cell counts per dimension and the boundary maps between them.
 
-    boundaries[j] holds the entries of the map from j-cells to (j-1)-cells;
-    boundaries[0] is empty.
+    boundaries[j] holds d_j, the map from j-cells to (j-1)-cells, as three
+    flat arrays (starts, rows, vals) in column-major order: the entries of
+    column c are rows[starts[c]:starts[c + 1]], ascending, with the
+    coefficients vals[starts[c]:starts[c + 1]].  starts is an array('i')
+    of counts[j] + 1 offsets, rows an array('i') and vals an array('q');
+    boundaries[0] has no entries.  Coefficients are 64-bit: array('q')
+    raises OverflowError past +-2**63, as reduce_complex's working set
+    already does.  from_triples builds a complex from (row, col, value)
+    triples; matrix(j) gives d_j back as triples.
     """
 
     counts: tuple
     boundaries: tuple
 
+    @classmethod
+    def from_triples(cls, counts, triples):
+        """The complex whose d_j has the (row, col, value) entries triples[j].
+
+        The entries of each degree may come in any order and are sorted by
+        column, then row, once; triples[0] is not read.
+        """
+        boundaries = []
+        for j, m in enumerate(counts):
+            entries = sorted((c, r, v) for r, c, v in triples[j]) if j else ()
+            sizes = [0] * m
+            for c, _, _ in entries:
+                sizes[c] += 1
+            boundaries.append((
+                array("i", accumulate(sizes, initial=0)),
+                array("i", map(itemgetter(1), entries)),
+                array("q", map(itemgetter(2), entries)),
+            ))
+        return cls(tuple(counts), tuple(boundaries))
+
     def matrix(self, j):
         rows = self.counts[j - 1] if j >= 1 else 0
         cols = self.counts[j] if j < len(self.counts) else 0
-        tri = self.boundaries[j] if 1 <= j < len(self.counts) else ()
+        tri = _triples(*self.boundaries[j]) if 1 <= j < len(self.counts) else ()
         return SparseMatrix(rows, cols, tuple(tri))
+
+
+def _column_ids(starts):
+    "The column of each entry, in storage order: c, starts[c + 1] - starts[c] times."
+    return chain.from_iterable(map(repeat, range(len(starts) - 1), map(sub, starts[1:], starts)))
+
+
+def _triples(starts, rows, vals):
+    "The (row, col, value) entries of one degree's column arrays, column by column."
+    return zip(rows, _column_ids(starts), vals)
 
 
 def parse_field(spec):
@@ -194,16 +236,18 @@ def _int_column(entries, pivots, _):
 def validate_d2(cc):
     """Raise at the first nonzero entry of a composite d_{j-1} d_j.
 
-    d_j is walked one column at a time, sorted by column as in rank, and
-    each column's image under d_{j-1} is summed in a dict of its own."""
+    d_j is walked one column at a time, in id order, and each column's
+    image under d_{j-1}, the columns of d_{j-1} its rows name, is summed
+    in a dict of its own."""
     for j in range(2, len(cc.counts)):
-        cols = {}
-        for r, c, v in cc.boundaries[j - 1]:
-            cols.setdefault(c, []).append((r, v))
-        for c, entries in groupby(sorted(cc.boundaries[j], key=_col), _col):
+        below, below_rows, below_vals = cc.boundaries[j - 1]
+        starts, rows, vals = cc.boundaries[j]
+        for c in range(cc.counts[j]):
             image = {}
-            for r, _, v in entries:
-                for r2, v2 in cols.get(r, ()):
+            for k in range(starts[c], starts[c + 1]):
+                r, v = rows[k], vals[k]
+                lo, hi = below[r], below[r + 1]
+                for r2, v2 in zip(below_rows[lo:hi], below_vals[lo:hi]):
                     image[r2] = image.get(r2, 0) + v * v2
             for r2, v in image.items():
                 if v:
@@ -228,16 +272,14 @@ def betti(cc, field="gf2"):
 
     Expects d o d = 0 and does not check it: validate_d2 does, and
     build_morse_complex runs it once on every complex it builds.  Each
-    degree's entries are streamed in column order, as reduce_complex
-    needs; the sort is stable, so the entries of a column, and the
-    columns of a row, keep the order they have in cc.  See
-    betti_of_stream for the rest.
+    degree's columns are streamed in id order, as stored, which is the
+    order reduce_complex needs.  See betti_of_stream for the rest.
     """
     counts = cc.counts
-    stream = (
-        (j, r, c, v)
-        for j in range(1, len(counts))
-        for r, c, v in sorted(cc.boundaries[j], key=_col)
+    stream = chain.from_iterable(
+        zip(repeat(j), rows, _column_ids(starts), vals)
+        for j, (starts, rows, vals) in enumerate(cc.boundaries)
+        if j
     )
     return betti_of_stream(counts, stream, field)
 

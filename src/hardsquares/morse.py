@@ -6,10 +6,12 @@ cell per apex stays unmatched (critical).  The Morse complex lives on the
 critical cells; its boundary is computed by flowing each cubical facet
 through the matching until only critical cells remain, once per critical
 corner set, since the labeled critical cells are free S_n-orbits; each
-corner set's n! labelings get consecutive ids.  Each corner set's flow is
-one parallel.pmap job with a memo of its own, and the jobs are listed
-heaviest first, by the sum of their corner coordinates, so pmap's fixed
-snake-wise shares are balanced.  The labeled entries of a
+corner set's n! labelings get consecutive ids, so in the column-major
+arrays of homology.ChainComplex, which the complex is stored in, each
+corner set's boundary is one contiguous block of n! columns.  Each corner
+set's flow is one parallel.pmap job with a memo of its own, and the jobs
+are listed heaviest first, by the sum of their corner coordinates, so
+pmap's fixed snake-wise shares are balanced.  The labeled entries of a
 flow come from per-build tables: n! signs per odd-extension mask and n!
 row ids per slot.  Each step of a flow reads whether the partner is up
 or down from the bit the pairing flips (0 to 1 is up).  A flow ends
@@ -21,14 +23,17 @@ cells are decoded by the apex's ApexGraph.  The build refuses, with
 oracle.CellCapExceeded, a complex whose labeled critical cells exceed the
 cell cap, and checks d o d = 0 on the complex it returns; restrict keeps
 whole blocks of labelings and only subcomplexes, so restricted complexes
-are not checked again.
+are not checked again; they keep or drop whole blocks of columns and
+renumber their rows through one id table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from functools import lru_cache
+from itertools import repeat
 
 from . import grid
 from .apexgraph import ApexGraph, cached_structure, check_half_squares, diagonal_paths
@@ -297,9 +302,10 @@ class MorseComplex:
 
     cells[d] lists the labeled critical d-cells, each a tuple of Piece, the
     n! labelings of each corner set consecutive; boundaries[d] holds the
-    (row, col, coeff) triplets of the map from d-cells to (d-1)-cells,
-    sorted by (row, col).  A restriction lists the very cell objects of the
-    complex it was restricted from.
+    map from d-cells to (d-1)-cells as the (starts, rows, vals) column
+    arrays of homology.ChainComplex, rows ascending within each column.  A
+    restriction lists the very cell objects of the complex it was
+    restricted from.
     """
 
     def __init__(self, n, board, cells, boundaries):
@@ -322,39 +328,39 @@ class MorseComplex:
         """Sub-Morse-complex of critical cells whose apex fits in p x q.
 
         Keeps or drops each corner set's block of n! labelings whole, by
-        the corners of its first cell.  Valid because boundaries only move
-        apexes left and down; a dropped row under a kept column would mean
-        the pairing is broken.
+        the corners of its first cell, and with it the block's n!
+        consecutive columns; the rows of the kept columns are renumbered
+        through the new id of each cell of the degree below, -1 if it was
+        dropped.  Valid because boundaries only move apexes left and down;
+        a dropped row under a kept column would mean the pairing is broken.
         """
         bp, bq = self.board
         if p > bp or q > bq:
             raise ValueError(f"cannot restrict {self.board} to larger ({p}, {q})")
         block = math.factorial(self.n)
         cells = []
-        new_ids = []  # per dimension: each old id's new id, None if dropped
-        for old in self.cells:
+        boundaries = []
+        ids = []  # the degree below: each old id's new id, -1 if dropped
+        for old, (starts, rows, vals) in zip(self.cells, self.boundaries):
             kept = []
-            ids = [None] * len(old)
-            for start in range(0, len(old), block):
-                if all(pc.col <= p and pc.row <= q for pc in old[start]):
-                    ids[start:start + block] = range(len(kept), len(kept) + block)
-                    kept.extend(old[start:start + block])
+            new_ids = []
+            new_starts, new_rows, new_vals = array("i", [0]), array("i"), array("q")
+            for b in range(0, len(old), block):
+                if all(pc.col <= p and pc.row <= q for pc in old[b]):
+                    new_ids += range(len(kept), len(kept) + block)
+                    kept += old[b:b + block]
+                    lo, hi = starts[b], starts[b + block]
+                    shift = len(new_rows) - lo
+                    new_starts.extend(map(shift.__add__, starts[b + 1:b + block + 1]))
+                    new_rows.extend(map(ids.__getitem__, rows[lo:hi]))
+                    new_vals += vals[lo:hi]
+                else:
+                    new_ids += repeat(-1, block)
+            if -1 in new_rows:
+                raise AssertionError("restriction dropped the boundary of a kept cell")
             cells.append(kept)
-            new_ids.append(ids)
-        boundaries = [[]]
-        for d in range(1, len(self.cells)):
-            tri = []
-            row_ids, col_ids = new_ids[d - 1], new_ids[d]
-            for r, c, v in self.boundaries[d]:
-                c = col_ids[c]
-                if c is not None:
-                    r = row_ids[r]
-                    if r is None:
-                        raise AssertionError(
-                            "restriction dropped the boundary of a kept cell"
-                        )
-                    tri.append((r, c, v))
-            boundaries.append(tri)
+            boundaries.append((new_starts, new_rows, new_vals))
+            ids = new_ids
         while len(cells) > 1 and not cells[-1]:
             cells.pop()
             boundaries.pop()
@@ -410,8 +416,11 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     slot[k] is the position of target piece k's corner in T.  Signs are
     transported through the coordinate-order permutation.  Both come from
     per-build tables (_Labelings): the n! signs of a cell from its
-    odd-extension mask, the n! row offsets of a target from its slot, so
-    each target adds its block of n! entries at once.  The flows run as
+    odd-extension mask, the n! row offsets of a target from its slot.  As
+    each flow is read back, its corner set's n! consecutive columns are
+    written straight into the column arrays of its dimension, one zip
+    over the targets' row and coefficient tables, each column's entries
+    sorted by row.  The flows run as
     one pmap job per corner set of positive dimension, each with its own
     memo, listed by decreasing sum of corner coordinates (flows only move
     corners left and down, so that sum bounds how far a flow goes), and
@@ -437,39 +446,43 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     flows = dict(zip(flowing, pmap(_flow_chunk, jobs, threads)))
     labelings = _Labelings(n)
     perms = labelings.perms
+    block = len(perms)
     first = {}  # corner set -> (dim, id of its first labeling)
     top = max((dim for _, dim in sets), default=0) + 1
     cells = [[] for _ in range(top)]
-    boundaries = [[] for _ in range(top)]
+    starts = [array("i", [0]) for _ in range(top)]
+    rows = [array("i") for _ in range(top)]
+    vals = [array("q") for _ in range(top)]
     for corners, dim in sets:
-        col = len(cells[dim])
-        first[corners] = (dim, col)
+        first[corners] = (dim, len(cells[dim]))
         rep = critical_cell_for(corners, board)
         cells[dim] += [relabel(rep, perm) for perm in perms]
-        if dim == 0:
-            continue
-        base = labelings.signs(rep)
-        cols = range(col, col + len(perms))
-        tri = boundaries[dim]
-        for target, coeff in flows.pop(corners):
+        base = labelings.signs(rep) if dim else None
+        tables = []  # per flow target: (row, coefficient) in each of the n! columns
+        for target, coeff in flows.pop(corners, ()):
             corner = [(pc.col, pc.row) for pc in target]
             target_set = tuple(sorted(corner))
             # a later corner set is not in first yet, and counts as wrong too
             tdim, row = first.get(target_set, (None, 0))
             if tdim != dim - 1:
                 raise AssertionError("flow target has wrong dimension")
-            rows = labelings.rows(tuple(map(target_set.index, corner)))
+            slot = tuple(map(target_set.index, corner))
             signs = labelings.signs(target)
-            tri.extend(
-                zip(
-                    map(row.__add__, rows),
-                    cols,
-                    [coeff * b * t for b, t in zip(base, signs)],
-                )
-            )
-    for tri in boundaries:
-        tri.sort()
-    mc = MorseComplex(n, board, cells, boundaries)
+            tables.append(zip(
+                map(row.__add__, labelings.rows(slot)),
+                [coeff * b * t for b, t in zip(base, signs)],
+            ))
+        col_starts, col_rows, col_vals = starts[dim], rows[dim], vals[dim]
+        if not tables:
+            col_starts.extend(repeat(len(col_rows), block))
+        for column in zip(*tables):
+            # rows ascending within the column: the flow lists its targets by
+            # cell, and their rows' order changes from one labeling to the next
+            r, v = zip(*sorted(column))
+            col_rows.extend(r)
+            col_vals.extend(v)
+            col_starts.append(len(col_rows))
+    mc = MorseComplex(n, board, cells, list(zip(starts, rows, vals)))
     validate_d2(mc.chain_complex())
     return mc
 

@@ -100,7 +100,7 @@ def build_chain_complex(n, p, q, cap=DEFAULT_CELL_CAP):
     tris = [[] for _ in counts]
     for d, r, c, v in _triple_stream(n, p, q, counts):
         tris[d].append((r, c, v))
-    return ChainComplex(counts, tuple(tuple(sorted(t)) for t in tris))
+    return ChainComplex.from_triples(counts, tris)
 
 
 def direct_betti(n, p, q, field="gf2", cap=DEFAULT_CELL_CAP, threads=1):

@@ -8,7 +8,10 @@ unchanged.  When every 1-cell boundary is empty or of the form x - y
 H_0; a cascade of free-coface cancellations seeded by such vertex
 removals then eats most of the complex with zero fill-in.  What survives
 is left to homology.rank, whose column elimination works over every
-field.
+field.  The input is one stream of (degree, row, col, value) entries:
+homology.betti streams a ChainComplex's column arrays as they are
+stored, and the direct route of oracle streams the cubical complex as it
+enumerates it.
 
 The working set is flat: the boundary rows of every entry sit in an
 int32 array and their values in an int64 array, in stream order, each

@@ -449,6 +449,26 @@ def test_verify_reports_failure(capsys, monkeypatch):
         assert [line for line in out.splitlines() if line.startswith("FAIL:")] == [failure]
 
 
+def test_verify_catches_a_far_facet_with_the_corner_sign(capsys, monkeypatch):
+    # d o d stays 0 and every GF(2) Betti vector is unchanged with this
+    # boundary; the Morse route keeps its own binding of the real one
+    boundary = grid.boundary
+
+    def same_sign(cell):
+        out = boundary(cell)
+        return [(facet, out[i & ~1][1]) for i, (facet, _) in enumerate(out)]
+
+    monkeypatch.setattr(grid, "boundary", same_sign)
+    code, out, _ = run(capsys, "verify", "--n", "3", "--p", "3", "--q", "3", "--deep")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL:")]
+    assert len(failed) == 1, out
+    assert failed[0].startswith(
+        "FAIL: cubical complex (f-vector, valid facets, d o d = 0):"
+        " corner and far facets of one extension have one sign at"
+    )
+
+
 def test_verify_walks_each_structure_once(capsys, monkeypatch):
     calls = {"enumerate_cells": 0, "cells_with_apex": 0}
     enumerate_cells, cells_with_apex = grid.enumerate_cells, grid.cells_with_apex
@@ -572,6 +592,18 @@ def run_module(argv, **kwargs):
         timeout=60,
         **kwargs,
     )
+
+
+def test_importing_the_cli_loads_no_process_pool_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, hardsquares.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert proc.stdout == "False\n"
 
 
 def test_python_dash_m_runs_the_cli():

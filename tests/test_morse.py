@@ -3,6 +3,7 @@ import itertools
 import os
 import random
 import signal
+from array import array
 
 import pytest
 
@@ -228,8 +229,15 @@ def test_equivariant_assembly_matches_per_cell_flows():
                     dd, r = idx[target]
                     assert dd == d - 1
                     tris.append((r, i, coeff))
-            tris.sort()
-            assert tris == list(mc.boundaries[d])
+            # stored column-major, rows ascending within each column
+            tris.sort(key=lambda e: (e[1], e[0]))
+            assert tris == list(mc.chain_complex().matrix(d).entries)
+
+
+def pinned_text(mc):
+    "The text the build pins hash: the cells, then each degree's triples sorted by (row, col)."
+    cc = mc.chain_complex()
+    return repr((mc.cells, [sorted(cc.matrix(d).entries) for d in range(len(mc.cells))]))
 
 
 BUILD_555_SHA256 = "278fecb7d6bb80739196df1d1347daef97208620037cdbe7e06629d954d9fed5"
@@ -240,7 +248,7 @@ def test_build_is_pinned_byte_for_byte(threads):
     # a wrong sign or row id in the labeling tables changes these bytes even
     # where d o d = 0 still holds
     mc = morse.build_morse_complex(5, 5, 5, threads=threads)
-    digest = hashlib.sha256(repr((mc.cells, mc.boundaries)).encode()).hexdigest()
+    digest = hashlib.sha256(pinned_text(mc).encode()).hexdigest()
     assert digest == BUILD_555_SHA256
 
 
@@ -256,7 +264,7 @@ def test_builds_are_byte_identical_at_each_thread_count(threads, monkeypatch):
     digest = hashlib.sha256()
     for n, p, q in sizes + [(6, 4, 4)]:
         mc = morse.build_morse_complex(n, p, q, threads=threads)
-        digest.update(repr((mc.cells, mc.boundaries)).encode())
+        digest.update(pinned_text(mc).encode())
     assert digest.hexdigest() == SMALL_BUILDS_SHA256
 
 
@@ -308,6 +316,24 @@ def test_restrict_identity_and_examples():
     assert [list(b) for b in same.boundaries] == [list(b) for b in mc3.boundaries]
     assert mc3.restrict(2, 2).betti("gf2") == (2, 2)
     assert shared.morse_complex(4, 4, 4).restrict(3, 3).betti("gf2") == (1, 12, 11)
+
+
+def test_restrict_refuses_a_kept_column_with_a_dropped_row():
+    mc = shared.morse_complex(3, 3, 3)
+
+    def fits(cell):
+        return all(pc.col <= 2 and pc.row <= 2 for pc in cell)
+
+    # point the first entry of a 1-cell column kept on 2 x 2 at a 0-cell dropped there
+    starts, rows, vals = mc.boundaries[1]
+    col = next(c for c, cell in enumerate(mc.cells[1]) if fits(cell) and starts[c] < starts[c + 1])
+    rows = array("i", rows)
+    rows[starts[col]] = next(r for r, cell in enumerate(mc.cells[0]) if not fits(cell))
+    boundaries = [mc.boundaries[0], (starts, rows, vals), *mc.boundaries[2:]]
+    broken = morse.MorseComplex(mc.n, mc.board, mc.cells, boundaries)
+    with pytest.raises(AssertionError, match="restriction dropped the boundary of a kept cell"):
+        broken.restrict(2, 2)
+    assert mc.restrict(2, 2).counts == (6, 6)
 
 
 def test_restrict_rejects_larger_board():

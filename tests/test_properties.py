@@ -33,6 +33,10 @@ The pairing's up or down, read from the bit it flips, is checked against
 the dimensions of cell and partner on every cell of three small
 complexes.
 
+ChainComplex.from_triples must store the triples it is given in
+column-major order, rows ascending within each column, and give them back
+unchanged, up to order, through matrix(j), repeated positions included.
+
 validate_d2 is checked against dense products d_{j-1} d_j on random
 integer complexes and on signed cubical complexes with one boundary
 entry changed (mostly d o d != 0), and on the unchanged ones (d o d = 0):
@@ -61,7 +65,6 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
-from operator import itemgetter
 
 import pytest
 
@@ -135,7 +138,7 @@ def signed_cubical_complexes(draw):
         for facet, s in signed_facets(cell):
             v = sign[facet] * sign[cell] * scale[cell] * s
             tris[dim(cell)].append((index[facet], index[cell], v))
-    return ChainComplex(tuple(counts), tuple(tuple(sorted(t)) for t in tris))
+    return ChainComplex.from_triples(tuple(counts), tris)
 
 
 def dense_rank(rows, width, p):
@@ -181,7 +184,7 @@ def reference_betti(cc, p):
     ranks = [0] * (len(counts) + 1)
     for j in range(1, len(counts)):
         rows = [[0] * counts[j] for _ in range(counts[j - 1])]
-        for r, c, v in cc.boundaries[j]:
+        for r, c, v in cc.matrix(j).entries:
             rows[r][c] = v
         ranks[j] = dense_rank(rows, counts[j], p)
     return trim(counts[j] - ranks[j] - ranks[j + 1] for j in range(len(counts)))
@@ -209,17 +212,17 @@ def test_rank_matches_dense_reference(m):
 def test_betti_unchanged_by_renumbering(cc, data):
     perms = [data.draw(st.permutations(range(m))) for m in cc.counts]
     tris = ((),) + tuple(
-        tuple(sorted((perms[j - 1][r], perms[j][c], v) for r, c, v in cc.boundaries[j]))
+        tuple((perms[j - 1][r], perms[j][c], v) for r, c, v in cc.matrix(j).entries)
         for j in range(1, len(cc.counts))
     )
-    renumbered = ChainComplex(cc.counts, tris)
+    renumbered = ChainComplex.from_triples(cc.counts, tris)
     for field in ("gf2", "gf3", "rational"):
         assert betti(renumbered, field) == betti(cc, field)
 
 
 @st.composite
-def integer_complexes(draw):
-    "Random boundary triples, values -2..2, a position possibly repeated."
+def integer_triples(draw):
+    "Counts and random boundary triples, values -2..2, a position possibly repeated."
     counts = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5))
     tris = [()]
     for j in range(1, len(counts)):
@@ -227,29 +230,50 @@ def integer_complexes(draw):
             st.integers(0, counts[j - 1] - 1), st.integers(0, counts[j] - 1), st.integers(-2, 2)
         )
         tris.append(tuple(draw(st.lists(entry, min_size=1, max_size=8))))
-    return ChainComplex(tuple(counts), tuple(tris))
+    return tuple(counts), tuple(tris)
+
+
+def integer_complexes():
+    return integer_triples().map(lambda args: ChainComplex.from_triples(*args))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_triples())
+def test_from_triples_round_trips_through_matrix(args):
+    counts, tris = args
+    cc = ChainComplex.from_triples(counts, tris)
+    assert cc.counts == counts
+    for j in range(1, len(counts)):
+        m = cc.matrix(j)
+        assert (m.rows, m.cols) == (counts[j - 1], counts[j])
+        assert sorted(m.entries) == sorted(tris[j])
+        starts, _, _ = cc.boundaries[j]
+        assert len(starts) == counts[j] + 1
+        # column-major, rows ascending within each column
+        keys = [(c, r) for r, c, _ in m.entries]
+        assert keys == sorted(keys)
 
 
 @st.composite
 def perturbed_cubical_complexes(draw):
     "A signed cubical complex of dimension 2 or more, one boundary entry changed."
     cc = draw(signed_cubical_complexes().filter(lambda cc: len(cc.counts) > 2))
-    tris = [list(t) for t in cc.boundaries]
+    tris = [list(cc.matrix(j).entries) for j in range(len(cc.counts))]
     j = draw(st.integers(1, len(tris) - 1))
     k = draw(st.integers(0, len(tris[j]) - 1))
     r, c, v = tris[j][k]
     tris[j][k] = (r, c, draw(st.sampled_from([w for w in range(-3, 4) if w != v])))
-    return ChainComplex(cc.counts, tuple(map(tuple, tris)))
+    return ChainComplex.from_triples(cc.counts, tris)
 
 
 def dense_composite(cc, j):
     "The nonzero entries of the dense product d_{j-1} d_j, as {(row, col): value}."
     low, mid, high = cc.counts[j - 2], cc.counts[j - 1], cc.counts[j]
     a = [[0] * mid for _ in range(low)]
-    for r, c, v in cc.boundaries[j - 1]:
+    for r, c, v in cc.matrix(j - 1).entries:
         a[r][c] += v
     b = [[0] * high for _ in range(mid)]
-    for r, c, v in cc.boundaries[j]:
+    for r, c, v in cc.matrix(j).entries:
         b[r][c] += v
     prod = {
         (r, c): sum(a[r][k] * b[k][c] for k in range(mid))
@@ -457,7 +481,7 @@ def column_stream(cc):
     return [
         (j, r, c, v)
         for j in range(1, len(cc.counts))
-        for r, c, v in sorted(cc.boundaries[j], key=itemgetter(1))
+        for r, c, v in cc.matrix(j).entries
     ]
 
 
