@@ -148,9 +148,11 @@ def cmd_critical(parser, args):
         if total > args.cell_cap:
             raise oracle.CellCapExceeded(n, p, q, total, args.cell_cap)
         with _create(parser, "--dump", args.dump) as fh:
-            cells = [grid.cell_json(cell) for cell in morse.iter_critical_cells(n, p, q)]
-            json.dump({"n": n, "p": p, "q": q, "cells": cells}, fh)
-            fh.write("\n")
+            # the text json.dump gives the whole object, a cell at a time
+            fh.write(f'{{"n": {n}, "p": {p}, "q": {q}, "cells": [')
+            for i, cell in enumerate(morse.iter_critical_cells(n, p, q)):
+                fh.write((", " if i else "") + json.dumps(grid.cell_json(cell)))
+            fh.write("]}\n")
     return 0
 
 
@@ -177,6 +179,7 @@ def cmd_table(parser, args):
                     labels = oracle.classify_regime(n, p, q, bv)
                     padded = list(bv) + [0] * (k - len(bv))
                     writer.writerow([n, p, q] + padded + [" ".join(labels)])
+            del full  # dropped before the next, larger build
     finally:
         if args.out:
             out.close()

@@ -5,22 +5,23 @@ degree, the start of each column, the rows of every column in ascending
 order, and their coefficients (ChainComplex says how).  Every Betti
 number, whether of a Morse complex or of a full cubical complex, comes
 from betti_of_stream: the complex is shrunk by the coreduction of
-reduce.reduce_complex, and the ranks of what is left give the Betti
-numbers; betti streams a ChainComplex's columns into it as they are
-stored.  One elimination serves every field: rank reduces the columns of
-a SparseMatrix of triplets in id order, pivoting on the highest row, and
-betti_of_stream ranks the degrees from the top down so that columns
-known to reduce to zero are skipped (clearing).  Pivots are chosen by
-fixed rules, so results are deterministic.  Only validate_d2 checks that
-the boundary squares to zero, one column of d_j at a time against the
-columns of d_{j-1}; the Morse build runs it once.
+reduce.reduce_complex, which hands back what is left in the same column
+arrays, and the ranks of that give the Betti numbers; betti streams a
+ChainComplex's columns into it as they are stored.  One elimination
+serves every field: rank reduces the columns of a SparseMatrix in id
+order, each straight from its slice of the arrays, pivoting on the
+highest row, and betti_of_stream ranks the degrees from the top down so
+that columns known to reduce to zero are skipped (clearing).  Pivots are
+chosen by fixed rules, so results are deterministic.  Only validate_d2
+checks that the boundary squares to zero, one column of d_j at a time
+against the columns of d_{j-1}; the Morse build runs it once.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, pairwise, repeat
 from operator import itemgetter, sub
 from typing import NamedTuple
 
@@ -28,11 +29,21 @@ from .reduce import reduce_complex
 
 
 class SparseMatrix(NamedTuple):
-    """An n_rows x n_cols integer matrix as (row, col, value) triplets."""
+    """An n_rows x n_cols integer matrix held in column arrays.
+
+    columns is (starts, rows, vals), the arrays of one degree of
+    ChainComplex: the entries of column c are rows[starts[c]:starts[c + 1]]
+    with the coefficients vals[starts[c]:starts[c + 1]], in any row order.
+    """
 
     rows: int
     cols: int
-    entries: tuple
+    columns: tuple
+
+    @property
+    def entries(self):
+        "The (row, col, value) triples, column by column."
+        return tuple(_triples(*self.columns))
 
 
 class ChainComplex(NamedTuple):
@@ -46,7 +57,7 @@ class ChainComplex(NamedTuple):
     boundaries[0] has no entries.  Coefficients are 64-bit: array('q')
     raises OverflowError past +-2**63, as reduce_complex's working set
     already does.  from_triples builds a complex from (row, col, value)
-    triples; matrix(j) gives d_j back as triples.
+    triples; matrix(j) gives d_j as a SparseMatrix over the same arrays.
     """
 
     counts: tuple
@@ -74,9 +85,9 @@ class ChainComplex(NamedTuple):
 
     def matrix(self, j):
         rows = self.counts[j - 1] if j >= 1 else 0
-        cols = self.counts[j] if j < len(self.counts) else 0
-        tri = _triples(*self.boundaries[j]) if 1 <= j < len(self.counts) else ()
-        return SparseMatrix(rows, cols, tuple(tri))
+        if j < len(self.counts):
+            return SparseMatrix(rows, self.counts[j], self.boundaries[j])
+        return SparseMatrix(rows, 0, (array("i", [0]), array("i"), array("q")))
 
 
 def _column_ids(starts):
@@ -135,14 +146,12 @@ def _is_prime(p):
     return True
 
 
-_col = itemgetter(1)
-
-
 def rank(matrix, field="gf2", cleared=frozenset()):
     """Pivot rows of a sparse integer matrix reduced over the given field.
 
-    Columns are reduced in id order and each pivots on its highest nonzero
-    row: a column whose pivot row is already held by an earlier column is
+    Columns are reduced in id order, each read from its slice of the
+    matrix's column arrays, and each pivots on its highest nonzero row: a
+    column whose pivot row is already held by an earlier column is
     combined with that column until it is zero or has a new pivot row.
     The number of pivot rows is the rank.  Columns whose ids are in
     cleared are skipped; the rank is unchanged when each of them would
@@ -160,18 +169,19 @@ def rank(matrix, field="gf2", cleared=frozenset()):
     """
     _, p = parse_field(field) if isinstance(field, str) else field
     reduce_column = _xor_column if p == 2 else _mod_column if p else _int_column
+    starts, rows, vals = matrix.columns
     pivots = {}
-    for c, entries in groupby(sorted(matrix.entries, key=_col), _col):
+    for c, (b, e) in enumerate(pairwise(starts)):
         if c not in cleared:
-            reduce_column(entries, pivots, p)
+            reduce_column(rows, vals, b, e, pivots, p)
     return set(pivots)
 
 
-def _xor_column(entries, pivots, _):
+def _xor_column(rows, vals, b, e, pivots, _):
     bits = 0
-    for r, _, v in entries:
-        if v & 1:
-            bits ^= 1 << r
+    for i in range(b, e):
+        if vals[i] & 1:
+            bits ^= 1 << rows[i]
     while bits:
         top = bits.bit_length() - 1
         piv = pivots.get(top)
@@ -182,11 +192,12 @@ def _xor_column(entries, pivots, _):
         bits ^= piv[0] << piv[1]
 
 
-def _mod_column(entries, pivots, p):
+def _mod_column(rows, vals, b, e, pivots, p):
     col = {}
-    for r, _, v in entries:
-        if v % p:
-            col[r] = v % p
+    for i in range(b, e):
+        v = vals[i] % p
+        if v:
+            col[rows[i]] = v
     while col:
         top = max(col)
         piv = pivots.get(top)
@@ -203,8 +214,8 @@ def _mod_column(entries, pivots, p):
                 del col[r]
 
 
-def _int_column(entries, pivots, _):
-    col = {r: v for r, _, v in entries if v}
+def _int_column(rows, vals, b, e, pivots, _):
+    col = {rows[i]: vals[i] for i in range(b, e) if vals[i]}
     while col:
         top = max(col)
         piv = pivots.get(top)
@@ -290,21 +301,23 @@ def betti_of_stream(counts, triples, field="gf2"):
     The entries of each column must arrive consecutively, and the columns
     of each degree in ascending id order, as reduce_complex requires.  The
     complex is shrunk by the coreduction of reduce_complex, which is exact
-    over the integers and so valid for every field.  What is left is ranked one degree at a time from the
-    top down, with clearing: a column of d_j that is a pivot row of
+    over the integers and so valid for every field.  What is left comes
+    back as one set of column arrays per degree, and is ranked one degree
+    at a time from the top down, each degree's arrays dropped once it is
+    ranked, with clearing: a column of d_j that is a pivot row of
     d_{j+1} would reduce to zero, because d_j d_{j+1} = 0, so rank skips
     it.  Then
     beta_j = seeds*[j == 0] + dim C_j - rank d_j - rank d_{j+1}
     on what is left, trailing zeros trimmed.
     """
     fieldpair = parse_field(field) if isinstance(field, str) else field
-    seeds, counts, tris = reduce_complex(counts, triples)
+    seeds, counts, columns = reduce_complex(counts, triples)
     ranks = [0] * (len(counts) + 1)
     cleared = frozenset()
     for j in range(len(counts) - 1, 0, -1):
-        cleared = rank(SparseMatrix(counts[j - 1], counts[j], tris[j]), fieldpair, cleared)
+        cleared = rank(SparseMatrix(counts[j - 1], counts[j], columns[j]), fieldpair, cleared)
         ranks[j] = len(cleared)
-        tris[j] = None  # freed before the next rank, whose pivots can set peak memory
+        columns[j] = None  # freed before the next rank, whose pivots can set peak memory
     return trim(
         (seeds if j == 0 else 0) + counts[j] - ranks[j] - ranks[j + 1]
         for j in range(len(counts))

@@ -11,7 +11,9 @@ is left to homology.rank, whose column elimination works over every
 field.  The input is one stream of (degree, row, col, value) entries:
 homology.betti streams a ChainComplex's column arrays as they are
 stored, and the direct route of oracle streams the cubical complex as it
-enumerates it.
+enumerates it.  The output is what survives, renumbered, in the column
+arrays of homology.ChainComplex, one (starts, rows, vals) per degree, so
+no entry becomes a tuple on either side.
 
 The working set is flat: the boundary rows of every entry sit in an
 int32 array and their values in an int64 array, in stream order, each
@@ -20,11 +22,16 @@ stands in for deleting rows, as every row dies exactly once.  This is why
 the entries of one column must arrive consecutively.  The cofaces of
 every row are counted as the entries stream and, once the stream has
 ended, placed in one int32 array too (compressed sparse rows: the
-cofaces of row x are cob[cstart[x]:cstart[x + 1]]).  The fill walks the columns in id order, which is the
-order they arrived in because, within a degree, columns must arrive in
-ascending id order; so the cascade meets the cofaces of a row in arrival
-order.  Every index array is int32: storing a cell id or an entry
-offset of 2**31 or more raises OverflowError.
+cofaces of row x are cob[cstart[x]:cstart[x + 1]]).  The fill walks
+the columns in id order, which is the order they arrived in because,
+within a degree, columns must arrive in ascending id order; so the
+cascade meets the cofaces of a row in arrival order.  The new id of
+each live cell, the number of live cells of its degree before it, is an
+int32 array too; the live columns are copied out of the working set a
+run of adjacent slices at a time, their dead rows then left out, and
+the live-row counts give the output's column starts.  Every index array
+is int32: storing a cell id or an entry offset of 2**31 or more raises
+OverflowError.
 """
 
 from __future__ import annotations
@@ -46,11 +53,13 @@ def reduce_complex(counts, triples):
     runs only when every 1-cell boundary is empty or x - y; otherwise the
     complex is returned whole.
 
-    Returns (seed_vertices, remaining_counts, remaining_triples), the
-    triples of each degree in column order and, within a column, in the
-    order they arrived, where seed_vertices counts free H_0 generators
-    split off during coreduction:
+    Returns (seed_vertices, remaining_counts, remaining_columns), where
+    seed_vertices counts free H_0 generators split off during coreduction:
     beta_j = seeds*[j == 0] + (remaining formula over any field).
+    remaining_columns[j] holds what is left of d_j, renumbered, as the
+    (starts, rows, vals) arrays of homology.ChainComplex: array('i')
+    column starts, one more than the columns left, array('i') rows and
+    array('q') values, the rows of each column in the order they arrived.
     """
     offs = [0]
     for m in counts:
@@ -90,33 +99,43 @@ def reduce_complex(counts, triples):
 
     seeds = 0
     edges = range(offs[1], offs[2]) if len(counts) > 1 else ()
+    live = array("i", map(sub, end, begin))  # the live rows of each live column
     if counts and all(
         begin[g] == end[g] or sorted(vals[begin[g]:end[g]]) == [-1, 1] for g in edges
     ):
         cstart, cob = _cofaces(sizes, offs[1], rows, begin, end)
-        live = array("i", map(sub, end, begin))
         seeds = _coreduce(counts[0], rows, vals, begin, live, cstart, cob, alive)
-        del sizes, cstart, cob, live  # freed before the output is built
+        del cstart, cob  # freed before the output is built
+    del sizes
 
-    remap = [None] * total  # new id of each live cell
+    remap = array("i")  # the new id of each live cell: the live cells before it in its degree
     counts2 = []
     for d in range(len(counts)):
-        live_cells = compress(range(offs[d], offs[d + 1]), alive[offs[d]:offs[d + 1]])
-        k = -1
-        for k, g in enumerate(live_cells):
-            remap[g] = k
-        counts2.append(k + 1)
-    tris2 = [[] for _ in range(len(counts))]
+        before = array("i", accumulate(alive[offs[d]:offs[d + 1]], initial=0))
+        counts2.append(before.pop())
+        remap += before
+    columns = [(array("i", bytes(4 * (counts2[0] + 1))), array("i"), array("q"))] if counts else []
     for d in range(1, len(counts)):
-        add = tris2[d].append
-        for g in range(offs[d], offs[d + 1]):
-            c = remap[g]
-            if c is not None:
-                for i in range(begin[g], end[g]):
-                    r = remap[rows[i]]
-                    if r is not None:
-                        add((r, c, vals[i]))
-    return seeds, counts2, tris2
+        lo, hi = offs[d], offs[d + 1]
+        here = alive[lo:hi]
+        # the live columns' entries, copied a run of adjacent slices at a time
+        rows2, vals2 = array("i"), array("q")
+        run_b = run_e = 0
+        for b, e in zip(compress(begin[lo:hi], here), compress(end[lo:hi], here)):
+            if b != run_e:
+                rows2 += rows[run_b:run_e]
+                vals2 += vals[run_b:run_e]
+                run_b = b
+            run_e = e
+        rows2 += rows[run_b:run_e]
+        vals2 += vals[run_b:run_e]
+        starts = array("i", accumulate(compress(live[lo:hi], here), initial=0))
+        if starts[-1] != len(rows2):  # some live column has dead rows
+            keep = bytes(map(alive.__getitem__, rows2))
+            rows2 = compress(rows2, keep)
+            vals2 = array("q", compress(vals2, keep))
+        columns.append((starts, array("i", map(remap.__getitem__, rows2)), vals2))
+    return seeds, counts2, columns
 
 
 def _cofaces(sizes, first_col, rows, begin, end):

@@ -1,9 +1,11 @@
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -236,6 +238,23 @@ def test_critical_dump_respects_cell_cap(capsys, tmp_path):
     assert len(json.loads(dump.read_text())["cells"]) == 8
 
 
+@pytest.mark.parametrize("inst", [(3, 3, 3), (5, 2, 2)])
+def test_critical_dump_is_the_json_dump_text(capsys, tmp_path, inst):
+    # the cells are written one at a time; the bytes are those json.dump
+    # writes for the whole object, on (5,2,2) with no cells at all
+    n, p, q = inst
+    dump = tmp_path / "critical.json"
+    argv = ["critical", "--n", str(n), "--p", str(p), "--q", str(q), "--dump", str(dump)]
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    cells = [grid.cell_json(cell) for cell in morse.iter_critical_cells(n, p, q)]
+    assert bool(cells) == (n <= p * q)
+    expected = io.StringIO()
+    json.dump({"n": n, "p": p, "q": q, "cells": cells}, expected)
+    expected.write("\n")
+    assert dump.read_bytes() == expected.getvalue().encode()
+
+
 def test_critical_dump_unwritable_exits_2_before_building(capsys, tmp_path, monkeypatch):
     def build(*args):
         raise AssertionError("critical cells built for a file that cannot be written")
@@ -255,6 +274,26 @@ def test_table_command(capsys):
     assert lines[0] == "n,p,q,b0,b1,regimes"
     assert lines[1] == "2,2,2,1,1,gas-consistent gas-consistent"
     assert len(lines) == 2
+
+
+def test_table_drops_each_complex_before_the_next_build(capsys, monkeypatch):
+    # the (n-1) complex is garbage once its boards are done; holding it
+    # while the (n, n, n) build runs adds its size to the peak
+    build = morse.build_morse_complex
+    built = []
+    alive_at_build = []
+
+    def tracked(*args, **kwargs):
+        gc.collect()
+        alive_at_build.append(sum(ref() is not None for ref in built))
+        mc = build(*args, **kwargs)
+        built.append(weakref.ref(mc))
+        return mc
+
+    monkeypatch.setattr(morse, "build_morse_complex", tracked)
+    code, _, _ = run(capsys, "table", "--max-n", "4")
+    assert code == 0
+    assert alive_at_build == [0, 0, 0]
 
 
 def test_table_small_k_warns(capsys, tmp_path):

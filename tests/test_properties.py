@@ -1,8 +1,9 @@
 """Property tests: rank and Betti numbers against dense references.
 
-rank is checked on random integer matrices with dependent columns, over
-GF(2) (bit-packed columns, so more than 64 rows make a column span several
-machine words), GF(3) and the rationals.
+rank is checked on random integer matrices with dependent columns, the
+rows of each column in a random order as reduce_complex may leave them,
+over GF(2) (bit-packed columns, so more than 64 rows make a column span
+several machine words), GF(3) and the rationals.
 
 Each example is a face-closed set of cells of a small 2- or 3-dimensional
 cubical grid in which every cell's basis vector may be negated.  Negating
@@ -17,8 +18,9 @@ dimension must leave every Betti number unchanged.
 
 reduce_complex, which works on flat arrays, is checked against the
 dict-based coreduction it replaced, kept here as reference_reduce: the
-same seeds, counts and triples, entry for entry, so the cancellation
-order is pinned.  The triples stream in column order, as reduce_complex
+same seeds, counts and triples, entry for entry (reduce_complex's column
+arrays read back through ChainComplex.matrix), so the cancellation order
+is pinned.  The triples stream in column order, as reduce_complex
 requires.
 
 grid.relabel_sign is checked against the plain count of inversions of
@@ -61,6 +63,7 @@ independent sets of size m of a k-vertex path.
 """
 
 import re
+from array import array
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
@@ -174,9 +177,14 @@ def integer_matrices(draw):
             for r, v in cols[i].items():
                 col[r] = col.get(r, 0) + k * v
         cols.append(col)
-    order = draw(st.permutations(range(len(cols))))
-    entries = [(r, c, v) for c, i in enumerate(order) for r, v in cols[i].items() if v]
-    return SparseMatrix(nrows, len(cols), tuple(draw(st.permutations(entries))))
+    # the columns in a random order, each column's rows in a random order
+    starts, rows, vals = array("i", [0]), array("i"), array("q")
+    for i in draw(st.permutations(range(len(cols)))):
+        for r, v in draw(st.permutations([(r, v) for r, v in cols[i].items() if v])):
+            rows.append(r)
+            vals.append(v)
+        starts.append(len(rows))
+    return SparseMatrix(nrows, len(cols), (starts, rows, vals))
 
 
 def reference_betti(cc, p):
@@ -486,7 +494,11 @@ def column_stream(cc):
 
 
 def assert_same_reduction(counts, stream):
-    assert reduce_complex(counts, stream) == reference_reduce(counts, stream)
+    seeds, counts2, columns = reduce_complex(counts, stream)
+    assert [len(starts) for starts, _, _ in columns] == [m + 1 for m in counts2]
+    reduced = ChainComplex(tuple(counts2), tuple(columns))
+    tris = [list(reduced.matrix(j).entries) for j in range(len(counts2))]
+    assert (seeds, counts2, tris) == reference_reduce(counts, stream)
 
 
 @settings(max_examples=200, deadline=None)
