@@ -165,7 +165,8 @@ def rank(matrix, field="gf2", cleared=frozenset()):
     b*col - a*piv, where a and b are the two leading entries over their
     gcd, so the arithmetic stays exact in the integers; a column scaled by
     b, and each new pivot column, is divided by the gcd of its entries to
-    keep them small.
+    keep them small.  A row given twice in one column is summed, over
+    every field.
     """
     _, p = parse_field(field) if isinstance(field, str) else field
     reduce_column = _xor_column if p == 2 else _mod_column if p else _int_column
@@ -192,12 +193,16 @@ def _xor_column(rows, vals, b, e, pivots, _):
         bits ^= piv[0] << piv[1]
 
 
-def _mod_column(rows, vals, b, e, pivots, p):
+def _summed(rows, vals, b, e):
+    "Column b:e as {row: value}, the values of a row given twice summed."
     col = {}
-    for i in range(b, e):
-        v = vals[i] % p
-        if v:
-            col[rows[i]] = v
+    for r, v in zip(rows[b:e], vals[b:e]):
+        col[r] = col.get(r, 0) + v
+    return col
+
+
+def _mod_column(rows, vals, b, e, pivots, p):
+    col = {r: v % p for r, v in _summed(rows, vals, b, e).items() if v % p}
     while col:
         top = max(col)
         piv = pivots.get(top)
@@ -215,7 +220,7 @@ def _mod_column(rows, vals, b, e, pivots, p):
 
 
 def _int_column(rows, vals, b, e, pivots, _):
-    col = {rows[i]: vals[i] for i in range(b, e) if vals[i]}
+    col = {r: v for r, v in _summed(rows, vals, b, e).items() if v}
     while col:
         top = max(col)
         piv = pivots.get(top)

@@ -4,27 +4,25 @@ Cells sharing an apex are bit strings on the paths of the apex's option
 graph, and are matched by a recursive rule on those strings.  At most one
 cell per apex stays unmatched (critical).  The Morse complex lives on the
 critical cells; its boundary is computed by flowing each cubical facet
-through the matching until only critical cells remain, once per critical
-corner set, since the labeled critical cells are free S_n-orbits; each
-corner set's n! labelings get consecutive ids, so in the column-major
-arrays of homology.ChainComplex, which the complex is stored in, each
-corner set's boundary is one contiguous block of n! columns.  Each corner
-set's flow is one parallel.pmap job with a memo of its own, and the jobs
-are listed heaviest first, by the sum of their corner coordinates, so
-pmap's fixed snake-wise shares are balanced.  The labeled entries of a
-flow come from per-build tables: n! signs per odd-extension mask and n!
-row ids per slot.  Each step of a flow reads whether the partner is up
-or down from the bit the pairing flips (0 to 1 is up).  A flow ends
-because the pairing is acyclic; a closed V-path raises BrokenPairing
-instead of looping, and verify_acyclic flows every cell to look for one.
-check_corner_set checks the rest of what makes the pairing a discrete
-gradient, one corner set at a time, for verify and the tests.  Critical
-cells are decoded by the apex's ApexGraph.  The build refuses, with
-oracle.CellCapExceeded, a complex whose labeled critical cells exceed the
-cell cap, and checks d o d = 0 on the complex it returns; restrict keeps
-whole blocks of labelings and only subcomplexes, so restricted complexes
-are not checked again; they keep or drop whole blocks of columns and
-renumber their rows through one id table.
+through the matching until only critical cells remain.  The labeled
+critical cells are free S_n-orbits, one per critical corner set, so the
+complex keeps the corner sets and flows each once: a set's n! labelings
+get consecutive ids, which in the column-major arrays of
+homology.ChainComplex are one block of n! columns, and its labeled entries
+come from per-build tables (n! signs per odd-extension mask, n! row ids
+per slot).  No labeled cell is stored; iter_critical_cells makes them.
+Each flow is one parallel.pmap job with a memo of its own that decodes the
+set's critical cell (by the apex's ApexGraph) and returns it with the
+flow, listed heaviest first, by the sum of the corner coordinates, so
+pmap's fixed snake-wise shares are balanced.  A flow step reads whether
+the partner is up or down from the bit the pairing flips (0 to 1 is up).
+A closed V-path raises BrokenPairing instead of looping, and
+verify_acyclic flows every cell to look for one; check_corner_set checks
+the rest of what makes the pairing a discrete gradient, one corner set at
+a time.  The build refuses, with oracle.CellCapExceeded, a complex whose
+labeled critical cells exceed the cell cap, and checks d o d = 0 once;
+restrict keeps or drops each corner set by its corners, so it makes
+subcomplexes, which are not checked again.
 """
 
 from __future__ import annotations
@@ -291,32 +289,34 @@ def morse_boundary(cell):
 
 
 def _flow_chunk(args):
-    "Sorted flow of one critical corner set, with a memo of its own (a pool job)."
-    n, p, q, corners = args
-    flow = flow_boundary(critical_cell_for(corners, (p, q)), {})
-    return sorted(flow.items())
+    "Critical cell of one corner set and its sorted flow, memo of its own (a pool job)."
+    p, q, corners = args
+    cell = critical_cell_for(corners, (p, q))
+    return cell, sorted(flow_boundary(cell, {}).items())
 
 
 class MorseComplex:
-    """Critical cells by dimension plus the signed Morse boundary matrices.
+    """Critical corner sets by dimension plus the signed Morse boundary matrices.
 
-    cells[d] lists the labeled critical d-cells, each a tuple of Piece, the
-    n! labelings of each corner set consecutive; boundaries[d] holds the
-    map from d-cells to (d-1)-cells as the (starts, rows, vals) column
-    arrays of homology.ChainComplex, rows ascending within each column.  A
-    restriction lists the very cell objects of the complex it was
+    sets[d] lists the sorted critical corner sets of dimension d in lex
+    order; labeling i of sets[d][k], in iter_critical_cells order, is
+    d-cell k * n! + i.  boundaries[d] holds the map from d-cells to
+    (d-1)-cells as the (starts, rows, vals) column arrays of
+    homology.ChainComplex, rows ascending within each column.  A
+    restriction lists the very corner-set tuples of the complex it was
     restricted from.
     """
 
-    def __init__(self, n, board, cells, boundaries):
+    def __init__(self, n, board, sets, boundaries):
         self.n = n
         self.board = board
-        self.cells = cells
+        self.sets = sets
         self.boundaries = boundaries
 
     @property
     def counts(self):
-        return tuple(len(c) for c in self.cells)
+        block = math.factorial(self.n)
+        return tuple(len(s) * block for s in self.sets)
 
     def chain_complex(self):
         return ChainComplex(self.counts, tuple(self.boundaries))
@@ -327,28 +327,28 @@ class MorseComplex:
     def restrict(self, p, q):
         """Sub-Morse-complex of critical cells whose apex fits in p x q.
 
-        Keeps or drops each corner set's block of n! labelings whole, by
-        the corners of its first cell, and with it the block's n!
-        consecutive columns; the rows of the kept columns are renumbered
-        through the new id of each cell of the degree below, -1 if it was
-        dropped.  Valid because boundaries only move apexes left and down;
-        a dropped row under a kept column would mean the pairing is broken.
+        Keeps or drops each corner set whole, by its corners, and with it
+        its block of n! consecutive columns; the rows of the kept columns
+        are renumbered through the new id of each cell of the degree below,
+        -1 if it was dropped.  Valid because boundaries only move apexes
+        left and down; a dropped row under a kept column would mean the
+        pairing is broken.
         """
         bp, bq = self.board
         if p > bp or q > bq:
             raise ValueError(f"cannot restrict {self.board} to larger ({p}, {q})")
         block = math.factorial(self.n)
-        cells = []
+        sets = []
         boundaries = []
         ids = []  # the degree below: each old id's new id, -1 if dropped
-        for old, (starts, rows, vals) in zip(self.cells, self.boundaries):
+        for old, (starts, rows, vals) in zip(self.sets, self.boundaries):
             kept = []
             new_ids = []
             new_starts, new_rows, new_vals = array("i", [0]), array("i"), array("q")
-            for b in range(0, len(old), block):
-                if all(pc.col <= p and pc.row <= q for pc in old[b]):
-                    new_ids += range(len(kept), len(kept) + block)
-                    kept += old[b:b + block]
+            for b, corners in zip(range(0, len(old) * block, block), old):
+                if all(c <= p and r <= q for c, r in corners):
+                    new_ids += range(len(kept) * block, (len(kept) + 1) * block)
+                    kept.append(corners)
                     lo, hi = starts[b], starts[b + block]
                     shift = len(new_rows) - lo
                     new_starts.extend(map(shift.__add__, starts[b + 1:b + block + 1]))
@@ -358,13 +358,13 @@ class MorseComplex:
                     new_ids += repeat(-1, block)
             if -1 in new_rows:
                 raise AssertionError("restriction dropped the boundary of a kept cell")
-            cells.append(kept)
+            sets.append(kept)
             boundaries.append((new_starts, new_rows, new_vals))
             ids = new_ids
-        while len(cells) > 1 and not cells[-1]:
-            cells.pop()
+        while len(sets) > 1 and not sets[-1]:
+            sets.pop()
             boundaries.pop()
-        return MorseComplex(self.n, (p, q), cells, boundaries)
+        return MorseComplex(self.n, (p, q), sets, boundaries)
 
 
 class _Labelings:
@@ -394,13 +394,11 @@ class _Labelings:
         return out
 
     def rows(self, slot):
-        "Id of the labeling pi, pi[k] = slot[perm[k]], for each perm."
+        "Id of the labeling relabel(slot, perm) for each perm."
         out = self._rows.get(slot)
         if out is None:
             perm_id = self.perm_id
-            out = self._rows[slot] = [
-                perm_id[tuple(slot[j] for j in perm)] for perm in self.perms
-            ]
+            out = self._rows[slot] = [perm_id[relabel(slot, perm)] for perm in self.perms]
         return out
 
 
@@ -409,29 +407,25 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
 
     The labeled critical cells are free S_n-orbits of the critical cell of
     each corner set, so one flow per corner set gives every labeled
-    boundary entry.  A corner set's n! labelings get consecutive ids of its
-    dimension in itertools.permutations order.  A flow target lies on an
-    earlier corner set T (boundaries move corners left or down), and its
-    relabeling by perm is T's labeling pi with pi[k] = slot[perm[k]], where
-    slot[k] is the position of target piece k's corner in T.  Signs are
-    transported through the coordinate-order permutation.  Both come from
-    per-build tables (_Labelings): the n! signs of a cell from its
-    odd-extension mask, the n! row offsets of a target from its slot.  As
-    each flow is read back, its corner set's n! consecutive columns are
-    written straight into the column arrays of its dimension, one zip
-    over the targets' row and coefficient tables, each column's entries
-    sorted by row.  The flows run as
-    one pmap job per corner set of positive dimension, each with its own
-    memo, listed by decreasing sum of corner coordinates (flows only move
-    corners left and down, so that sum bounds how far a flow goes), and
-    are read back in lex order.  d o d = 0 is checked here, once;
-    restrictions are subcomplexes and need no check.
-    Over cap, an integer count of labeled critical cells, CellCapExceeded
-    is raised before any flow runs or any cell is made.
+    boundary entry, and the complex lists the corner sets, not the cells.
+    A corner set's n! labelings get consecutive ids of its dimension in
+    itertools.permutations order.  A flow target lies on an earlier corner
+    set T (boundaries move corners left or down), and its relabeling by
+    perm is T's labeling relabel(slot, perm), slot[k] the position of
+    target piece k's corner in T.  Signs are transported through the
+    coordinate-order permutation.  Both come from per-build tables
+    (_Labelings).  As each flow is read back, its corner set's n!
+    consecutive columns are written straight into the column arrays of its
+    dimension, each column's entries sorted by row.  The flows run as one
+    pmap job per corner set of positive dimension, each returning the
+    set's critical cell with its flow, listed by decreasing sum of corner
+    coordinates (that sum bounds how far a flow goes), and are read back
+    in lex order; a set of dimension 0 has no boundary and needs no cell.
+    d o d = 0 is checked here, once.  Over cap, an integer count of
+    labeled critical cells, CellCapExceeded is raised before any flow runs.
     """
     from .parallel import pmap
 
-    board = (p, q)
     sets = list(critical_sets(n, p, q))
     total = len(sets) * math.factorial(n)
     if total > cap:
@@ -442,24 +436,23 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
         key=lambda corners: sum(c + r for c, r in corners),
         reverse=True,
     )
-    jobs = [(n, p, q, corners) for corners in flowing]
+    jobs = [(p, q, corners) for corners in flowing]
     flows = dict(zip(flowing, pmap(_flow_chunk, jobs, threads)))
     labelings = _Labelings(n)
-    perms = labelings.perms
-    block = len(perms)
+    block = len(labelings.perms)
     first = {}  # corner set -> (dim, id of its first labeling)
     top = max((dim for _, dim in sets), default=0) + 1
-    cells = [[] for _ in range(top)]
+    by_dim = [[] for _ in range(top)]
     starts = [array("i", [0]) for _ in range(top)]
     rows = [array("i") for _ in range(top)]
     vals = [array("q") for _ in range(top)]
     for corners, dim in sets:
-        first[corners] = (dim, len(cells[dim]))
-        rep = critical_cell_for(corners, board)
-        cells[dim] += [relabel(rep, perm) for perm in perms]
-        base = labelings.signs(rep) if dim else None
+        first[corners] = (dim, len(by_dim[dim]) * block)
+        by_dim[dim].append(corners)
         tables = []  # per flow target: (row, coefficient) in each of the n! columns
-        for target, coeff in flows.pop(corners, ()):
+        rep, flow = flows.pop(corners, (None, ()))
+        base = labelings.signs(rep) if rep else None
+        for target, coeff in flow:
             corner = [(pc.col, pc.row) for pc in target]
             target_set = tuple(sorted(corner))
             # a later corner set is not in first yet, and counts as wrong too
@@ -482,7 +475,7 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
             col_rows.extend(r)
             col_vals.extend(v)
             col_starts.append(len(col_rows))
-    mc = MorseComplex(n, board, cells, list(zip(starts, rows, vals)))
+    mc = MorseComplex(n, (p, q), by_dim, list(zip(starts, rows, vals)))
     validate_d2(mc.chain_complex())
     return mc
 

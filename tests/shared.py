@@ -5,12 +5,23 @@ import signal
 from contextlib import contextmanager
 from functools import lru_cache
 
-from hardsquares import morse, oracle
+from hardsquares import grid, morse, oracle
 
 
 @lru_cache(maxsize=None)
 def morse_complex(n, p, q):
     return morse.build_morse_complex(n, p, q)
+
+
+def labeled_cells(mc):
+    """The labeled critical cells of mc by dimension, in id order.
+
+    iter_critical_cells of mc's board, grouped by cell_dim.
+    """
+    cells = [[] for _ in mc.counts]
+    for cell in morse.iter_critical_cells(mc.n, *mc.board):
+        cells[grid.cell_dim(cell)].append(cell)
+    return cells
 
 
 @lru_cache(maxsize=None)

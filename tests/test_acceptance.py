@@ -135,6 +135,7 @@ def test_criterion_4_restriction_correctness():
     count = 0
     for n in range(1, 6):
         full = shared.morse_complex(n, n, n)
+        full_cells = shared.labeled_cells(full)
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 sub = full.restrict(p, q)
@@ -142,11 +143,12 @@ def test_criterion_4_restriction_correctness():
                 count += 1
                 same = (
                     sub.counts == direct.counts
-                    and all(
-                        a == b
-                        for sa, sb in zip(sub.cells, direct.cells)
-                        for a, b in zip(sa, sb)
-                    )
+                    and sub.sets == direct.sets
+                    # the full complex's labeled cells that fit, in id order
+                    and [
+                        c for cs in full_cells for c in cs
+                        if all(pc.col <= p and pc.row <= q for pc in c)
+                    ] == [c for cs in shared.labeled_cells(direct) for c in cs]
                     and [list(x) for x in sub.boundaries]
                     == [list(x) for x in direct.boundaries]
                 )

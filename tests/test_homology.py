@@ -67,6 +67,13 @@ def test_rank_trivial():
         assert len(rank(eye, field)) == 3
 
 
+def test_rank_sums_a_row_given_twice():
+    # d_1 of this complex sums to zero, as validate_d2 reads it
+    cc = ChainComplex.from_triples((1, 1), ((), ((0, 0, 1), (0, 0, -1))))
+    for field in ("gf2", "gf3", "rational"):
+        assert len(rank(cc.matrix(1), field)) == 0, field
+
+
 def test_rank_depends_on_field():
     m = dense([[2, 0], [0, 3]])
     assert len(rank(m, "gf2")) == 1

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import os
 import random
 import signal
@@ -218,13 +219,14 @@ def test_morse_d2_zero():
 def test_equivariant_assembly_matches_per_cell_flows():
     for n, p, q in [(2, 2, 2), (3, 2, 2), (3, 2, 3), (3, 3, 3), (4, 3, 3), (4, 3, 4)]:
         mc = shared.morse_complex(n, p, q)
+        labeled = shared.labeled_cells(mc)
         idx = {}
-        for d, cells in enumerate(mc.cells):
+        for d, cells in enumerate(labeled):
             for i, cell in enumerate(cells):
                 idx[cell] = (d, i)
-        for d in range(1, len(mc.cells)):
+        for d in range(1, len(labeled)):
             tris = []
-            for i, cell in enumerate(mc.cells[d]):
+            for i, cell in enumerate(labeled[d]):
                 for target, coeff in sorted(morse.morse_boundary(cell).items()):
                     dd, r = idx[target]
                     assert dd == d - 1
@@ -235,9 +237,11 @@ def test_equivariant_assembly_matches_per_cell_flows():
 
 
 def pinned_text(mc):
-    "The text the build pins hash: the cells, then each degree's triples sorted by (row, col)."
+    """The text the build pins hash: the labeled cells, then each degree's
+    triples sorted by (row, col)."""
     cc = mc.chain_complex()
-    return repr((mc.cells, [sorted(cc.matrix(d).entries) for d in range(len(mc.cells))]))
+    triples = [sorted(cc.matrix(d).entries) for d in range(len(mc.counts))]
+    return repr((shared.labeled_cells(mc), triples))
 
 
 BUILD_555_SHA256 = "278fecb7d6bb80739196df1d1347daef97208620037cdbe7e06629d954d9fed5"
@@ -325,12 +329,13 @@ def test_restrict_refuses_a_kept_column_with_a_dropped_row():
         return all(pc.col <= 2 and pc.row <= 2 for pc in cell)
 
     # point the first entry of a 1-cell column kept on 2 x 2 at a 0-cell dropped there
+    cells = shared.labeled_cells(mc)
     starts, rows, vals = mc.boundaries[1]
-    col = next(c for c, cell in enumerate(mc.cells[1]) if fits(cell) and starts[c] < starts[c + 1])
+    col = next(c for c, cell in enumerate(cells[1]) if fits(cell) and starts[c] < starts[c + 1])
     rows = array("i", rows)
-    rows[starts[col]] = next(r for r, cell in enumerate(mc.cells[0]) if not fits(cell))
+    rows[starts[col]] = next(r for r, cell in enumerate(cells[0]) if not fits(cell))
     boundaries = [mc.boundaries[0], (starts, rows, vals), *mc.boundaries[2:]]
-    broken = morse.MorseComplex(mc.n, mc.board, mc.cells, boundaries)
+    broken = morse.MorseComplex(mc.n, mc.board, mc.sets, boundaries)
     with pytest.raises(AssertionError, match="restriction dropped the boundary of a kept cell"):
         broken.restrict(2, 2)
     assert mc.restrict(2, 2).counts == (6, 6)
@@ -344,14 +349,18 @@ def test_restrict_rejects_larger_board():
 def test_restriction_equals_direct_build():
     for n in range(2, 5):
         full = shared.morse_complex(n, n, n)
+        full_cells = shared.labeled_cells(full)
         for p in range(1, n + 1):
             for q in range(p, n + 1):
                 sub = full.restrict(p, q)
                 direct = shared.morse_complex(n, p, q)
                 assert sub.counts == direct.counts, (n, p, q)
-                assert [c for cs in sub.cells for c in cs] == [
-                    c for cs in direct.cells for c in cs
-                ]
+                assert sub.sets == direct.sets
+                # the full complex's labeled cells that fit, in id order
+                assert [
+                    c for cs in full_cells for c in cs
+                    if all(pc.col <= p and pc.row <= q for pc in c)
+                ] == [c for cs in shared.labeled_cells(direct) for c in cs]
                 assert [list(b) for b in sub.boundaries] == [
                     list(b) for b in direct.boundaries
                 ]
@@ -390,11 +399,11 @@ def test_build_checks_d2(monkeypatch):
     dropped = []
 
     def corrupt(args):
-        flow = real(args)
-        if sets[args[3]] == 2 and not dropped:
+        cell, flow = real(args)
+        if sets[args[-1]] == 2 and not dropped:
             dropped.append(flow[0])
             flow = flow[1:]
-        return flow
+        return cell, flow
 
     monkeypatch.setattr(morse, "_flow_chunk", corrupt)
     with pytest.raises(AssertionError, match="d o d != 0"):
@@ -444,9 +453,25 @@ def test_every_producer_returns_a_plain_tuple_of_pieces():
         produced += list(morse.morse_boundary(cell))
     assert all(map(plain, produced))
 
+    # a restriction lists the parent's own corner-set tuples, not copies
     mc = shared.morse_complex(n, p, q)
-    own = {cell: cell for cells in mc.cells for cell in cells}
-    assert all(map(plain, own))
+    own = {corners: corners for sets in mc.sets for corners in sets}
     sub = mc.restrict(2, 3)
     assert sum(sub.counts) > 0
-    assert all(own[cell] is cell for cells in sub.cells for cell in cells)
+    assert all(own[corners] is corners for sets in sub.sets for corners in sets)
+
+
+def test_complex_holds_corner_sets_not_labeled_cells():
+    def holds_piece(value):
+        if isinstance(value, Piece):
+            return True
+        return isinstance(value, (list, tuple)) and any(map(holds_piece, value))
+
+    for n, p, q in [(0, 2, 2), (2, 2, 2), (3, 3, 3), (4, 3, 4), (5, 2, 2)]:
+        mc = shared.morse_complex(n, p, q)
+        sets = list(morse.critical_sets(n, p, q))
+        assert len(mc.sets) == len(mc.counts)
+        for d, corner_sets in enumerate(mc.sets):
+            assert corner_sets == [corners for corners, dim in sets if dim == d]
+            assert mc.counts[d] == len(corner_sets) * math.factorial(n)
+        assert not any(holds_piece(value) for value in vars(mc).values())

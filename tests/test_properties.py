@@ -166,7 +166,11 @@ def dense_rank(rows, width, p):
 
 @st.composite
 def integer_matrices(draw):
-    "Sparse integer matrices, some columns integer combinations of others."
+    """Sparse integer matrices, some columns integer combinations of others.
+
+    Some entries are given as two entries at the same row whose values sum
+    to the entry's.
+    """
     nrows = draw(st.one_of(st.integers(1, 8), st.integers(65, 200)))
     entry = st.tuples(st.integers(0, nrows - 1), st.integers(-4, 4))
     cols = [dict(draw(st.lists(entry, max_size=8))) for _ in range(draw(st.integers(1, 10)))]
@@ -180,7 +184,14 @@ def integer_matrices(draw):
     # the columns in a random order, each column's rows in a random order
     starts, rows, vals = array("i", [0]), array("i"), array("q")
     for i in draw(st.permutations(range(len(cols)))):
-        for r, v in draw(st.permutations([(r, v) for r, v in cols[i].items() if v])):
+        entries = []
+        for r, v in cols[i].items():
+            if v and draw(st.booleans()):
+                part = draw(st.integers(-4, 4))
+                entries += [(r, part), (r, v - part)]
+            elif v:
+                entries.append((r, v))
+        for r, v in draw(st.permutations(entries)):
             rows.append(r)
             vals.append(v)
         starts.append(len(rows))
@@ -210,7 +221,7 @@ def test_betti_matches_dense_reference(cc):
 def test_rank_matches_dense_reference(m):
     rows = [[0] * m.cols for _ in range(m.rows)]
     for r, c, v in m.entries:
-        rows[r][c] = v
+        rows[r][c] += v
     for field, p in (("gf2", 2), ("gf3", 3), ("rational", 0)):
         assert len(rank(m, field)) == dense_rank(rows, m.cols, p)
 
