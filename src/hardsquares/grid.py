@@ -106,6 +106,12 @@ def apex_of(cell):
     return tuple((pc.col, pc.row) for pc in cell)
 
 
+# one Piece object per (col, row, left, down) for cells_with_apex and
+# _collapses: the cells and facets they build share pieces, so a dict
+# lookup of a cell or facet compares its pieces by identity
+_piece = lru_cache(maxsize=None)(Piece)
+
+
 @lru_cache(maxsize=None)
 def _collapses(pc):
     """(corner, far) endpoint pieces of each extension of a piece, left first.
@@ -115,9 +121,9 @@ def _collapses(pc):
     c, r, left, down = pc
     out = []
     if left:
-        out.append((Piece(c, r, 0, down), Piece(c - 1, r, 0, down)))
+        out.append((_piece(c, r, 0, down), _piece(c - 1, r, 0, down)))
     if down:
-        out.append((Piece(c, r, left, 0), Piece(c, r - 1, left, 0)))
+        out.append((_piece(c, r, left, 0), _piece(c, r - 1, left, 0)))
     return tuple(out)
 
 
@@ -131,15 +137,14 @@ def boundary(cell):
     Facets share their collapsed Piece objects (_collapses).
     """
     out = []
-    t = 0
+    sign = 1
     for k, pc in enumerate(cell):
-        if pc.left or pc.down:
+        if pc[2] or pc[3]:  # left or down
             head, tail = cell[:k], cell[k + 1 :]
             for corner, far in _collapses(pc):
-                sign = -1 if t & 1 else 1
                 out.append((head + (corner,) + tail, sign))
                 out.append((head + (far,) + tail, -sign))
-                t += 1
+                sign = -sign
     return out
 
 
@@ -231,7 +236,7 @@ def cells_with_apex(apex):
         for left, down in _EXTENSIONS:
             if (left and c < 2) or (down and r < 2):
                 continue
-            pc = Piece(c, r, left, down)
+            pc = _piece(c, r, left, down)
             if any(pieces_overlap(pc, other) for other in chosen):
                 continue
             chosen.append(pc)

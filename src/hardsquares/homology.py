@@ -56,8 +56,9 @@ class ChainComplex(NamedTuple):
     of counts[j] + 1 offsets, rows an array('i') and vals an array('q');
     boundaries[0] has no entries.  Coefficients are 64-bit: array('q')
     raises OverflowError past +-2**63, as reduce_complex's working set
-    already does.  from_triples builds a complex from (row, col, value)
-    triples; matrix(j) gives d_j as a SparseMatrix over the same arrays.
+    does once a value past one byte has widened it to array('q').
+    from_triples builds a complex from (row, col, value) triples;
+    matrix(j) gives d_j as a SparseMatrix over the same arrays.
     """
 
     counts: tuple

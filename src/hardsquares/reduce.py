@@ -16,10 +16,14 @@ arrays of homology.ChainComplex, one (starts, rows, vals) per degree, so
 no entry becomes a tuple on either side.
 
 The working set is flat: the boundary rows of every entry sit in an
-int32 array and their values in an int64 array, in stream order, each
-column is a begin/end slice of them, and a per-column count of live rows
-stands in for deleting rows, as every row dies exactly once.  This is why
-the entries of one column must arrive consecutively.  The cofaces of
+int32 array and their values in a signed-byte array, in stream order,
+each column is a begin/end slice of them, and a per-column count of live
+rows stands in for deleting rows, as every row dies exactly once.  This
+is why the entries of one column must arrive consecutively.  One byte
+holds every value of the cubical complexes of the direct route and of
+the Morse complexes of the table, all +-1; the first value past +-127
+widens the values to an int64 array, once, and a value past +-2**63
+raises OverflowError, so a value is never cut.  The cofaces of
 every row are counted as the entries stream and, once the stream has
 ended, placed in one int32 array too (compressed sparse rows: the
 cofaces of row x are cob[cstart[x]:cstart[x + 1]]).  The fill walks
@@ -28,8 +32,10 @@ within a degree, columns must arrive in ascending id order; so the
 cascade meets the cofaces of a row in arrival order.  The new id of
 each live cell, the number of live cells of its degree before it, is an
 int32 array too; the live columns are copied out of the working set a
-run of adjacent slices at a time, their dead rows then left out, and
-the live-row counts give the output's column starts.  Every index array
+run of adjacent slices at a time, then their rows are renumbered, and
+their dead rows left out, by one itemgetter per block of 4,096 entries.
+The live-row counts give the output's column starts, and the output's
+values are int64 whatever the working set held.  Every index array
 is int32: storing a cell id or an entry offset of 2**31 or more raises
 OverflowError.
 """
@@ -39,7 +45,7 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import accumulate, compress
-from operator import sub
+from operator import itemgetter, sub
 
 
 def reduce_complex(counts, triples):
@@ -66,7 +72,7 @@ def reduce_complex(counts, triples):
         offs.append(offs[-1] + m)
     total = offs[-1]
     rows = array("i")
-    vals = array("q")
+    vals = array("b")  # widened to array("q") by the first value past +-127
     begin = array("i", bytes(4 * total))
     end = array("i", bytes(4 * total))
     sizes = array("i", bytes(4 * total))  # cofaces of each row
@@ -91,7 +97,12 @@ def reduce_complex(counts, triples):
             begin[gc] = len(rows)
         gr = offs[d - 1] + r
         add_row(gr)
-        add_val(v)
+        try:
+            add_val(v)
+        except OverflowError:
+            vals = array("q", vals)
+            add_val = vals.append
+            add_val(v)
         sizes[gr] += 1
     if gc is not None:
         end[gc] = len(rows)
@@ -119,7 +130,7 @@ def reduce_complex(counts, triples):
         lo, hi = offs[d], offs[d + 1]
         here = alive[lo:hi]
         # the live columns' entries, copied a run of adjacent slices at a time
-        rows2, vals2 = array("i"), array("q")
+        rows2, vals2 = array("i"), array(vals.typecode)
         run_b = run_e = 0
         for b, e in zip(compress(begin[lo:hi], here), compress(end[lo:hi], here)):
             if b != run_e:
@@ -130,12 +141,35 @@ def reduce_complex(counts, triples):
         rows2 += rows[run_b:run_e]
         vals2 += vals[run_b:run_e]
         starts = array("i", accumulate(compress(live[lo:hi], here), initial=0))
-        if starts[-1] != len(rows2):  # some live column has dead rows
-            keep = bytes(map(alive.__getitem__, rows2))
-            rows2 = compress(rows2, keep)
-            vals2 = array("q", compress(vals2, keep))
-        columns.append((starts, array("i", map(remap.__getitem__, rows2)), vals2))
+        mask = alive if starts[-1] != len(rows2) else None  # some live column has dead rows
+        columns.append((starts, *_renumbered(rows2, vals2, remap, mask)))
     return seeds, counts2, columns
+
+
+_BLOCK = 4096  # the ids one itemgetter looks up
+
+
+def _renumbered(rows, vals, remap, alive):
+    """rows through remap as array('i') and vals as array('q'), a block at a time.
+
+    alive is None when every row is live; otherwise the entries whose row
+    is dead are left out.
+    """
+    rows2 = array("i")
+    vals2 = array("q") if alive is not None else array("q", vals)
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i : i + _BLOCK]
+        if len(block) > 1:
+            get = itemgetter(*block)
+        else:  # itemgetter of one index returns the item, not a 1-tuple
+            get = lambda seq, x=block[0]: (seq[x],)
+        if alive is not None:
+            keep = bytes(get(alive))
+            rows2.extend(compress(get(remap), keep))
+            vals2.extend(compress(vals[i : i + _BLOCK], keep))
+        else:
+            rows2.extend(get(remap))
+    return rows2, vals2
 
 
 def _cofaces(sizes, first_col, rows, begin, end):

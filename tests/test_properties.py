@@ -21,7 +21,9 @@ dict-based coreduction it replaced, kept here as reference_reduce: the
 same seeds, counts and triples, entry for entry (reduce_complex's column
 arrays read back through ChainComplex.matrix), so the cancellation order
 is pinned.  The triples stream in column order, as reduce_complex
-requires.
+requires.  Values past one byte (300, 2**40, -2**62) widen reduce_complex's
+working set mid-stream and must come out unchanged, as array('q'), and a
+value past +-2**63 must raise OverflowError.
 
 grid.relabel_sign is checked against the plain count of inversions of
 the free coordinates in x1,y1,...,xn,yn order, and relabeling with its
@@ -529,6 +531,48 @@ def test_reduce_matches_dict_reference_on_morse_restrictions(board):
     cc = shared.morse_complex(4, 4, 4).restrict(*board).chain_complex()
     assert_same_reduction(cc.counts, column_stream(cc))
 
+
+
+# two vertices v0, v1, three edges e0, e1, e2 equal to v1 - v0 and a loop
+# e3 with no boundary: coreduction splits off v0 and cancels e0 with v1,
+# so a 2-cell k (e0 - e1) keeps only its row e1, while k (e1 - e2) and
+# k e3 keep every row; a 2-cell is (k, a, b) for k (e_a - e_b), b None
+# for k e_a
+WIDE_EDGES = [(1, 0, 0, -1), (1, 1, 0, 1), (1, 0, 1, -1), (1, 1, 1, 1), (1, 0, 2, -1), (1, 1, 2, 1)]
+
+
+def wide_stream(faces):
+    stream = list(WIDE_EDGES)
+    for c, (k, a, b) in enumerate(faces):
+        stream.append((2, a, c, k))
+        if b is not None:
+            stream.append((2, b, c, -k))
+    return (2, 4, len(faces)), stream
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [(300, 0, 1), (2**40, 0, 1), (1, 1, 2)],  # widened by the first 2-cell, a dead row
+        [(2**40, 1, 2), (-300, 1, 2), (-1, 1, 2)],  # widened by 2**40, no dead row
+        [(-127, 0, 1), (127, 1, 2)],  # one byte holds every value
+        [(300, 0, 1)],  # one entry left, after a dead row
+        [(-(2**62), 3, None)],  # one entry left, no dead row
+    ],
+)
+def test_reduce_widens_its_working_set(faces):
+    counts, stream = wide_stream(faces)
+    assert_same_reduction(counts, stream)
+    _, _, columns = reduce_complex(counts, stream)
+    assert {vals.typecode for _, _, vals in columns} == {"q"}
+    assert max(map(abs, columns[2][2])) == max(abs(k) for k, _, _ in faces)
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+def test_reduce_refuses_a_value_past_int64(value):
+    counts, stream = wide_stream([(300, 0, 1), (value, 1, 2)])
+    with pytest.raises(OverflowError):
+        reduce_complex(counts, stream)
 
 
 def reference_fvector_chunk(n, p, q, first):
