@@ -10,6 +10,10 @@ complex exactly when no two pieces share a board square; its dimension
 
 This module provides the cell encoding, membership predicates, the signed
 cubical boundary, deterministic apex-major enumeration, and f-vectors.
+A cell also packs into one int (pack, unpack), whose signed facets
+packed_boundary gives with boundary's order and signs, for the Morse
+layer's V-path walker.
+
 The f-vector never lists corner sets: the option graph of a corner set is
 a union of paths along the anti-diagonals c + r = d (board_diagonals), so
 a transfer from diagonal to diagonal sums the products of their path
@@ -145,6 +149,59 @@ def boundary(cell):
                 out.append((head + (corner,) + tail, sign))
                 out.append((head + (far,) + tail, -sign))
                 sign = -sign
+    return out
+
+
+# A cell is also one int, its code: with width bits per coordinate, piece k
+# is the field of 2 * width + 2 bits at bit k * (2 * width + 2) holding, from
+# its lowest bit up, left, col, down and row.  Each option bit sits just
+# below the coordinate its far endpoint decrements.
+
+
+def pack(cell, width):
+    "The code of a cell whose coordinates fit in width bits."
+    field = 2 * width + 2
+    code = 0
+    for k, (c, r, left, down) in enumerate(cell):
+        code |= (left | c << 1 | down << width + 1 | r << width + 2) << k * field
+    return code
+
+
+def unpack(code, n, width):
+    "The cell of n pieces with a given code, made of the shared Piece objects."
+    field = 2 * width + 2
+    low = (1 << width) - 1
+    out = []
+    for _ in range(n):
+        out.append(_piece(code >> 1 & low, code >> width + 2 & low, code & 1, code >> width + 1 & 1))
+        code >>= field
+    return tuple(out)
+
+
+def option_bits(n, width):
+    "The left and down bits of all n pieces of a code, as one mask."
+    field = 2 * width + 2
+    return sum((1 | 1 << width + 1) << k * field for k in range(n))
+
+
+def packed_boundary(code, options):
+    """boundary on codes: the signed facets' codes, in boundary's order.
+
+    options is option_bits of the code's n and width.  The set option bits,
+    lowest first, are the extensions in boundary's coordinate order; each
+    gives its corner facet (the bit cleared) and then its far facet (the
+    coordinate above the bit decremented too, twice the bit).
+    """
+    out = []
+    sign = 1
+    ext = code & options
+    while ext:
+        bit = ext & -ext
+        ext ^= bit
+        corner = code ^ bit
+        out.append((corner, sign))
+        out.append((corner - 2 * bit, -sign))
+        sign = -sign
     return out
 
 

@@ -11,18 +11,24 @@ get consecutive ids, which in the column-major arrays of
 homology.ChainComplex are one block of n! columns, and its labeled entries
 come from per-build tables (n! signs per odd-extension mask, n! row ids
 per slot).  No labeled cell is stored; iter_critical_cells makes them.
-Each flow is one parallel.pmap job with a memo of its own that decodes the
-set's critical cell (by the apex's ApexGraph) and returns it with the
-flow, listed heaviest first, by the sum of the corner coordinates, so
-pmap's fixed snake-wise shares are balanced.  A flow step reads whether
-the partner is up or down from the bit the pairing flips (0 to 1 is up).
-A closed V-path raises BrokenPairing instead of looping, and
-verify_acyclic flows every cell to look for one; check_corner_set checks
-the rest of what makes the pairing a discrete gradient, one corner set at
-a time.  The build refuses, with oracle.CellCapExceeded, a complex whose
-labeled critical cells exceed the cell cap, and checks d o d = 0 once;
-restrict keeps or drops each corner set by its corners, so it makes
-subcomplexes, which are not checked again.
+Each flow is one parallel.pmap job that decodes the set's critical cell
+(by the apex's ApexGraph) and returns it with the flow, listed heaviest
+first, by the sum of the corner coordinates, so pmap's fixed snake-wise
+shares are balanced.  A flow job walks the V-paths with one _Walker on
+int-coded cells (grid.pack): a pairing flip is one XOR, a facet comes
+from grid.packed_boundary, and the pairing of a labeled apex is tabulated
+on its first visit, one table of _flip_index per path, with the memo
+and the open set keyed by ints; only the flow's critical targets are
+decoded back into cells.  The partner is up or down by the bit the
+pairing flips (0 to 1 is up).  _pair, the plain pairing on tuples, stays
+the reference behind match_cell, cell_status and check_corner_set.  A
+closed V-path raises BrokenPairing instead of looping, and verify_acyclic
+flows every cell to look for one; check_corner_set checks the rest of
+what makes the pairing a discrete gradient, one corner set at a time.
+The build refuses, with oracle.CellCapExceeded, a complex whose labeled
+critical cells exceed the cell cap, and checks d o d = 0 once; restrict
+keeps or drops each corner set by its corners, so it makes subcomplexes,
+which are not checked again.
 """
 
 from __future__ import annotations
@@ -34,8 +40,22 @@ from functools import lru_cache
 from itertools import repeat
 
 from . import grid
-from .apexgraph import ApexGraph, cached_structure, check_half_squares, diagonal_paths
-from .grid import Piece, board_diagonals, boundary, cell_dim, relabel, relabel_sign
+from .apexgraph import (
+    ApexGraph,
+    cached_structure,
+    check_half_squares,
+    diagonal_paths,
+    path_strings,
+)
+from .grid import (
+    Piece,
+    board_diagonals,
+    boundary,
+    cell_dim,
+    packed_boundary,
+    relabel,
+    relabel_sign,
+)
 from .homology import ChainComplex, betti, validate_d2
 from .oracle import DEFAULT_CELL_CAP, CellCapExceeded
 
@@ -212,87 +232,173 @@ def iter_critical_cells(n, p, q):
             yield relabel(rep, perm)
 
 
-def flow_boundary(cell, memo=None):
+@lru_cache(maxsize=None)
+def _flip_rule(k):
+    """_flip_index on each independence string of a k-vertex path, tabulated:
+    (the string's 1 positions, its flipped index or None) per string."""
+    return tuple(
+        (tuple(i for i, bit in enumerate(s) if bit == "1"), _flip_index(s))
+        for s in path_strings(k)
+    )
+
+
+class _Walker:
+    """V-path flows of cells of n pieces, on their codes (grid.pack, width
+    bits per coordinate).
+
+    A walk only moves corners left or down, so a width that fits the start
+    cell fits every cell it visits.  memo maps each visited code to its
+    flow, a tuple of (critical code, coefficient) pairs; a "down" cell's is
+    the empty tuple.  The pairing of a labeled apex is a (mask, table)
+    pair per path of its option graph, built from cached_structure on the
+    apex's first visit: mask holds the path's option bits, and table maps
+    each string the cell can take on them to the bit _flip_index flips, 0
+    when the string is unmatched.  Both caches live as long as the walker.
+    """
+
+    def __init__(self, n, width):
+        self.n = n
+        self.width = width
+        self.options = grid.option_bits(n, width)
+        self.coords = ((1 << n * (2 * width + 2)) - 1) ^ self.options
+        self.memo = {}
+        self._rules = {}  # coordinate bits of a labeled apex -> its (mask, table) pairs
+        self._tables = {}  # option bits of a path, in path order -> its table
+
+    def _rule(self, apex):
+        "The (mask, table) pairs of a labeled apex, the coordinate bits of a code."
+        width = self.width
+        field = 2 * width + 2
+        low = (1 << width) - 1
+        left = {}  # corner -> the left bit of its piece; the down bit is width + 1 above
+        for shift in range(0, self.n * field, field):
+            left[(apex >> shift + 1 & low, apex >> shift + width + 2 & low)] = 1 << shift
+        tables = self._tables
+        rule = []
+        for path in cached_structure(tuple(sorted(left))):
+            bits = tuple([left[at] << width + 1 if axis else left[at] for at, axis in path])
+            table = tables.get(bits)
+            if table is None:
+                table = tables[bits] = {
+                    sum([bits[i] for i in ones]): 0 if flip is None else bits[flip]
+                    for ones, flip in _flip_rule(len(bits))
+                }
+            rule.append((sum(bits), table))
+            if len(bits) % 3 == 1:
+                break  # every string on this path is matched: no later path decides
+        rule = self._rules[apex] = tuple(rule)
+        return rule
+
+    def pair(self, code):
+        """The option bit the pairing flips in a code, 0 if the cell is critical.
+
+        The partner is code ^ bit: the cofacet ("up") when the bit is clear
+        in code, a facet ("down") when it is set.  The first path whose
+        string is matched decides, as in _pair.
+        """
+        apex = code & self.coords
+        rule = self._rules.get(apex)
+        if rule is None:
+            rule = self._rule(apex)
+        for mask, table in rule:
+            bit = table[code & mask]
+            if bit:
+                return bit
+        return 0
+
+    def flow(self, start):
+        """Flow of one code, by an explicit depth-first stack.
+
+        A cell is paired when met as a facet: a critical or "down" cell
+        gets its flow at once, and an "up" cell is pushed with its flip bit.
+        An up cell waiting for the flows of its partner's other facets is
+        open: it keeps those facets and the coefficient lam of itself in the
+        partner's boundary for its return visit.  A facet met that is open
+        too closes a V-path.
+        """
+        memo = self.memo
+        if start in memo:
+            return memo[start]
+        pair = self.pair
+        options = self.options
+        bit = pair(start)
+        if not bit:
+            memo[start] = ((start, 1),)
+            return memo[start]
+        if start & bit:
+            memo[start] = ()
+            return ()
+        open_cells = {}  # code -> (facets of the partner, lam)
+        stack = [(start, bit)]
+        while stack:
+            code, bit = stack[-1]
+            if code in open_cells:
+                facets, lam = open_cells.pop(code)
+                acc = {}
+                for f, s in facets:
+                    if f != code:
+                        coef = -s * lam
+                        for t, v in memo[f]:
+                            acc[t] = acc.get(t, 0) + coef * v
+                memo[code] = tuple([(t, v) for t, v in acc.items() if v])
+                stack.pop()
+                continue
+            if code in memo:
+                stack.pop()
+                continue
+            facets = packed_boundary(code | bit, options)
+            pending = []
+            for f, s in facets:
+                if f == code:
+                    lam = s
+                elif f not in memo:
+                    if f in open_cells:
+                        cell = grid.unpack(code, self.n, self.width)
+                        raise BrokenPairing(f"closed V-path through {cell}")
+                    b = pair(f)
+                    if not b:
+                        memo[f] = ((f, 1),)
+                    elif f & b:
+                        memo[f] = ()
+                    else:
+                        pending.append((f, b))
+            open_cells[code] = (facets, lam)
+            stack.extend(pending)
+        return memo[start]
+
+
+def flow_boundary(cell):
     """Morse boundary of a critical cell: flow its facets to critical cells.
 
     A facet that is critical contributes itself; one paired with a facet of
     its own contributes nothing; one paired with a cofacet E is replaced by
-    the (signed) remaining boundary of E, recursively.  The recursion ends
-    because the pairing is acyclic; a closed V-path raises BrokenPairing.
+    the (signed) remaining boundary of E, recursively.  The cell's signed
+    facets come from grid.boundary, and one _Walker flows them all.  The
+    recursion ends because the pairing is acyclic; a closed V-path raises
+    BrokenPairing.
     """
-    if memo is None:
-        memo = {}
+    n = len(cell)
+    width = max((max(pc.col, pc.row) for pc in cell), default=0).bit_length()
+    walker = _Walker(n, width)
     out = {}
     for facet, sign in boundary(cell):
-        for target, coeff in _flow_chain(facet, memo).items():
+        for target, coeff in walker.flow(grid.pack(facet, width)):
             out[target] = out.get(target, 0) + sign * coeff
-    return {t: v for t, v in out.items() if v}
-
-
-def _flow_chain(start, memo):
-    """Flow of one cell, by an explicit depth-first stack.
-
-    An "up" cell waiting for the flows of its partner's other facets is
-    open: it keeps those facets and the coefficient lam of itself in the
-    partner's boundary for its return visit.  A pending facet that is open
-    too closes a V-path.
-    """
-    if start in memo:
-        return memo[start]
-    open_cells = {}  # cell -> (facets of the partner, lam)
-    stack = [start]
-    while stack:
-        cell = stack[-1]
-        if cell in memo:
-            stack.pop()
-            continue
-        if cell in open_cells:
-            facets, lam = open_cells.pop(cell)
-            acc = {}
-            for f, s in facets:
-                if f == cell:
-                    continue
-                coef = -s * lam
-                for t, v in memo[f].items():
-                    acc[t] = acc.get(t, 0) + coef * v
-            memo[cell] = {t: v for t, v in acc.items() if v}
-            stack.pop()
-            continue
-        status, partner = cell_status(cell)
-        if status == "critical":
-            memo[cell] = {cell: 1}
-            stack.pop()
-            continue
-        if status == "down":
-            memo[cell] = {}
-            stack.pop()
-            continue
-        facets = boundary(partner)
-        pending = []
-        for f, s in facets:
-            if f == cell:
-                lam = s
-            elif f not in memo:
-                if f in open_cells:
-                    raise BrokenPairing(f"closed V-path through {cell}")
-                pending.append(f)
-        open_cells[cell] = (facets, lam)
-        stack.extend(pending)
-    return memo[start]
+    return {grid.unpack(t, n, width): v for t, v in out.items() if v}
 
 
 def morse_boundary(cell):
     """Morse boundary of one critical cell, as {critical cell: coeff}."""
     if match_cell(cell) is not None:
         raise ValueError("cell is not critical")
-    return flow_boundary(cell, {})
+    return flow_boundary(cell)
 
 
 def _flow_chunk(args):
     "Critical cell of one corner set and its sorted flow, memo of its own (a pool job)."
     p, q, corners = args
     cell = critical_cell_for(corners, (p, q))
-    return cell, sorted(flow_boundary(cell, {}).items())
+    return cell, sorted(flow_boundary(cell).items())
 
 
 class MorseComplex:
@@ -483,13 +589,14 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
 def verify_acyclic(n, p, q):
     """Exhaustively check that the pairing has no closed V-path.
 
-    Flows every cell with one shared memo; the flow raises BrokenPairing
-    exactly when it meets a closed V-path.
+    Flows every cell with one walker, so one shared memo; the flow raises
+    BrokenPairing exactly when it meets a closed V-path.
     """
-    memo = {}
+    width = max(p, q).bit_length()
+    walker = _Walker(n, width)
     try:
         for cell in grid.enumerate_cells(n, p, q):
-            _flow_chain(cell, memo)
+            walker.flow(grid.pack(cell, width))
     except BrokenPairing:
         return False
     return True

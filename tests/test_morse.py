@@ -273,20 +273,24 @@ def test_builds_are_byte_identical_at_each_thread_count(threads, monkeypatch):
 
 
 def _cyclic_pairing(monkeypatch):
-    "Patch cell_status so both vertices of one (2,2,2) edge pair up with it."
-    edge = next(c for c in grid.enumerate_cells(2, 2, 2) if grid.cell_dim(c) == 1)
-    ends = {f for f, _ in grid.boundary(edge)}
-    real = morse.cell_status
+    """Patch the walker's pairing so both corner facets of one (2,2,2) square
+    pair up with it: a V-path from either goes through the square to the other.
+    """
+    square = next(c for c in grid.enumerate_cells(2, 2, 2) if grid.cell_dim(c) == 2)
+    corners = {f for f, _ in grid.boundary(square)[::2]}
+    real = morse._Walker.pair
 
-    def cyclic(cell):
-        return ("up", edge) if cell in ends else real(cell)
+    def cyclic(walker, code):
+        if grid.unpack(code, walker.n, walker.width) in corners:
+            return code ^ grid.pack(square, walker.width)
+        return real(walker, code)
 
-    monkeypatch.setattr(morse, "cell_status", cyclic)
-    return edge
+    monkeypatch.setattr(morse._Walker, "pair", cyclic)
+    return square
 
 
 def test_closed_v_path_raises(monkeypatch):
-    edge = _cyclic_pairing(monkeypatch)
+    square = _cyclic_pairing(monkeypatch)
 
     def hung(signum, frame):
         raise TimeoutError("the flow still runs on a cyclic pairing")
@@ -295,7 +299,7 @@ def test_closed_v_path_raises(monkeypatch):
     signal.alarm(10)
     try:
         with pytest.raises(morse.BrokenPairing, match="closed V-path"):
-            morse.flow_boundary(edge, {})
+            morse.flow_boundary(square)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)

@@ -62,6 +62,13 @@ two diagonals they meet on twice, and a combine that shifted the
 products by one block more or less would move counts between sizes.
 _path_poly(k, lane) must unpack, lane by lane, to the comb(k - m + 1, m)
 independent sets of size m of a k-vertex path.
+
+The Morse flows' int-coded kernel is checked against the plain tuple code
+on every cell it can meet on boards with p, q <= 4 and n <= 4: grid.pack
+round-trips through grid.unpack, grid.packed_boundary gives
+grid.boundary's facets and signs in its order, and morse._Walker.pair
+pairs as morse.cell_status does.  flow_boundary is checked against the
+tuple walker it replaced, kept here as reference_flow_chain.
 """
 
 import re
@@ -418,6 +425,103 @@ def test_pairing_direction_matches_dimensions(n, p, q):
         if status != "critical":
             up = grid.cell_dim(partner) > grid.cell_dim(cell)
             assert status == ("up" if up else "down"), cell
+
+
+# Every (cell, width) pair the walker can meet on a board with p, q <= 4:
+# a board's cells are cells of the square board of its longer side, coded
+# with that side's bit length, or with the bit length of the cell's own
+# largest coordinate (flow_boundary), which the smaller square covers.
+WALKER_BOARDS = [(n, side) for n in range(5) for side in (1, 3, 4)]
+
+
+@pytest.mark.parametrize("n, side", WALKER_BOARDS)
+def test_walker_kernel_matches_plain_references(n, side):
+    # the codec round-trips, the packed boundary has boundary's facets and
+    # signs in boundary's order, and the walker pairs as cell_status does
+    width = side.bit_length()
+    options = grid.option_bits(n, width)
+    walker = morse._Walker(n, width)
+    pack, unpack = grid.pack, grid.unpack
+    for cell in grid.enumerate_cells(n, side, side):
+        code = pack(cell, width)
+        assert unpack(code, n, width) == cell
+        facets = [(pack(f, width), s) for f, s in grid.boundary(cell)]
+        assert grid.packed_boundary(code, options) == facets, cell
+        bit = walker.pair(code)
+        status, partner = morse.cell_status(cell)
+        if bit:
+            assert status == ("down" if code & bit else "up"), cell
+            assert unpack(code ^ bit, n, width) == partner, cell
+        else:
+            assert status == "critical", cell
+
+
+def reference_flow_chain(start, memo):
+    """Flow of one cell on plain tuples, by cell_status and grid.boundary:
+    the walker the int-coded one replaced, kept as its reference."""
+    if start in memo:
+        return memo[start]
+    open_cells = {}  # cell -> (facets of the partner, lam)
+    stack = [start]
+    while stack:
+        cell = stack[-1]
+        if cell in memo:
+            stack.pop()
+            continue
+        if cell in open_cells:
+            facets, lam = open_cells.pop(cell)
+            acc = {}
+            for f, s in facets:
+                if f == cell:
+                    continue
+                coef = -s * lam
+                for t, v in memo[f].items():
+                    acc[t] = acc.get(t, 0) + coef * v
+            memo[cell] = {t: v for t, v in acc.items() if v}
+            stack.pop()
+            continue
+        status, partner = morse.cell_status(cell)
+        if status == "critical":
+            memo[cell] = {cell: 1}
+            stack.pop()
+            continue
+        if status == "down":
+            memo[cell] = {}
+            stack.pop()
+            continue
+        facets = grid.boundary(partner)
+        pending = []
+        for f, s in facets:
+            if f == cell:
+                lam = s
+            elif f not in memo:
+                if f in open_cells:
+                    raise morse.BrokenPairing(f"closed V-path through {cell}")
+                pending.append(f)
+        open_cells[cell] = (facets, lam)
+        stack.extend(pending)
+    return memo[start]
+
+
+def reference_flow_boundary(cell):
+    memo = {}
+    out = {}
+    for facet, sign in grid.boundary(cell):
+        for target, coeff in reference_flow_chain(facet, memo).items():
+            out[target] = out.get(target, 0) + sign * coeff
+    return {t: v for t, v in out.items() if v}
+
+
+@pytest.mark.parametrize("n, p, q", [(n, n, n) for n in range(1, 6)] + [(5, 3, 5)])
+def test_flows_match_the_tuple_walker(n, p, q):
+    # every labeled critical cell up to n = 4; at n = 5 the critical cell
+    # of each corner set, the cells the build flows
+    if n < 5:
+        cells = list(morse.iter_critical_cells(n, p, q))
+    else:
+        cells = [morse.critical_cell_for(c, (p, q)) for c, _ in morse.critical_sets(n, p, q)]
+    for cell in cells:
+        assert morse.flow_boundary(cell) == reference_flow_boundary(cell), cell
 
 
 def reference_reduce(counts, triples):
