@@ -260,7 +260,7 @@ class _Walker:
         self.n = n
         self.width = width
         self.options = grid.option_bits(n, width)
-        self.coords = ((1 << n * (2 * width + 2)) - 1) ^ self.options
+        self.coords = ~self.options  # code & coords: the code's corners, its labeled apex
         self.memo = {}
         self._rules = {}  # coordinate bits of a labeled apex -> its (mask, table) pairs
         self._tables = {}  # option bits of a path, in path order -> its table
