@@ -42,7 +42,7 @@ import sys
 
 from . import grid, morse, oracle
 from .apexgraph import ApexGraph
-from .homology import audit, parse_field
+from .homology import audit, parse_field, validate_d2
 from .parallel import default_threads
 
 EXIT_CAP = 3
@@ -247,8 +247,10 @@ def _verify_checks(args):
             morse.check_corner_set(corners, board)
 
     def morse_route():
-        # the build raises AssertionError unless d o d = 0
+        # the build raises AssertionError unless d o d = 0 over Z[S_n] on
+        # the orbits, and validate_d2 unless it is 0 on every labeled cell
         mc = morse.build_morse_complex(n, p, q, threads=args.threads, cap=args.cell_cap)
+        validate_d2(mc.chain_complex())
         bv = mc.betti("gf2")
         state["betti"] = bv
         audit(n, p, q, bv, fv, morse_counts=mc.counts)

@@ -12,9 +12,13 @@ serves every field: rank reduces the columns of a SparseMatrix in id
 order, each straight from its slice of the arrays, pivoting on the
 highest row, and betti_of_stream ranks the degrees from the top down so
 that columns known to reduce to zero are skipped (clearing).  Pivots are
-chosen by fixed rules, so results are deterministic.  Only validate_d2
-checks that the boundary squares to zero, one column of d_j at a time
-against the columns of d_{j-1}; the Morse build runs it once.
+chosen by fixed rules, so results are deterministic.  Here only
+validate_d2 checks that the boundary squares to zero, one column of d_j
+at a time against the columns of d_{j-1}; MorseComplex.betti runs it on
+each labeled complex it ranks, what is left of a Morse complex once its
+unit entries are cancelled over Z[S_n], and so checks the cancellation.
+The Morse build checks d o d = 0 itself, over Z[S_n], on one generator
+per orbit of labeled cells.
 """
 
 from __future__ import annotations
@@ -255,7 +259,8 @@ def validate_d2(cc):
 
     d_j is walked one column at a time, in id order, and each column's
     image under d_{j-1}, the columns of d_{j-1} its rows name, is summed
-    in a dict of its own."""
+    in a dict of its own.  MorseComplex.betti runs it on every labeled
+    complex it ranks; the Morse build checks its orbits instead."""
     for j in range(2, len(cc.counts)):
         below, below_rows, below_vals = cc.boundaries[j - 1]
         starts, rows, vals = cc.boundaries[j]
@@ -288,7 +293,7 @@ def betti(cc, field="gf2"):
     """Betti numbers of a chain complex over the given field.
 
     Expects d o d = 0 and does not check it: validate_d2 does, and
-    build_morse_complex runs it once on every complex it builds.  Each
+    MorseComplex.betti runs it before it calls betti.  Each
     degree's columns are streamed in id order, as stored, which is the
     order reduce_complex needs.  See betti_of_stream for the rest.
     """

@@ -4,13 +4,12 @@ Cells sharing an apex are bit strings on the paths of the apex's option
 graph, and are matched by a recursive rule on those strings.  At most one
 cell per apex stays unmatched (critical).  The Morse complex lives on the
 critical cells; its boundary is computed by flowing each cubical facet
-through the matching until only critical cells remain.  The labeled
-critical cells are free S_n-orbits, one per critical corner set, so the
-complex keeps the corner sets and flows each once: a set's n! labelings
-get consecutive ids, which in the column-major arrays of
-homology.ChainComplex are one block of n! columns, and its labeled entries
-come from per-build tables (n! signs per odd-extension mask, n! row ids
-per slot).  No labeled cell is stored; iter_critical_cells makes them.
+through the matching until only critical cells remain.  S_n acts freely on
+the labeled critical cells and the pairing commutes with relabeling, so
+MorseComplex is a complex of free Z[S_n]-modules, one generator per
+critical corner set, each column read off one flow.  No labeled cell is
+stored; iter_critical_cells makes them.  MorseComplex.betti cancels unit
+entries over Z[S_n] before it expands what is left into labeled columns.
 Each flow is one parallel.pmap job that decodes the set's critical cell
 (by the apex's ApexGraph) and returns it with the flow, listed heaviest
 first, by the sum of the corner coordinates, so pmap's fixed snake-wise
@@ -26,9 +25,10 @@ closed V-path raises BrokenPairing instead of looping, and verify_acyclic
 flows every cell to look for one; check_corner_set checks the rest of
 what makes the pairing a discrete gradient, one corner set at a time.
 The build refuses, with oracle.CellCapExceeded, a complex whose labeled
-critical cells exceed the cell cap, and checks d o d = 0 once; restrict
-keeps or drops each corner set by its corners, so it makes subcomplexes,
-which are not checked again.
+critical cells exceed the cell cap, and checks d o d = 0 once, on the
+generators; restrict keeps or drops each corner set by its corners, so it
+makes subcomplexes, which are not checked again; betti checks the labeled
+complex it ranks.
 """
 
 from __future__ import annotations
@@ -401,23 +401,54 @@ def _flow_chunk(args):
     return cell, sorted(flow_boundary(cell).items())
 
 
+def _odd_mask(cell):
+    "Which pieces of a cell have an odd number of extensions: all relabel_sign reads."
+    return tuple((pc.left + pc.down) & 1 for pc in cell)
+
+
+def _inverse(perm):
+    "The permutation h with h[perm[k]] = k."
+    return tuple(sorted(range(len(perm)), key=perm.__getitem__))
+
+
+def _times(x, y):
+    "The product x y in Z[S_n] of two {perm: coefficient} dicts, (g h)[k] = g[h[k]]."
+    out = {}
+    for g, a in x.items():
+        for h, b in y.items():
+            gh = tuple([g[k] for k in h])
+            out[gh] = out.get(gh, 0) + a * b
+    return out
+
+
+def _is_unit(x):
+    "Whether x in Z[S_n] is +-[g], invertible with inverse +-[g^-1]."
+    return len(x) == 1 and abs(next(iter(x.values()))) == 1
+
+
 class MorseComplex:
-    """Critical corner sets by dimension plus the signed Morse boundary matrices.
+    """The Morse complex over Z[S_n]: one generator per critical corner set.
 
     sets[d] lists the sorted critical corner sets of dimension d in lex
-    order; labeling i of sets[d][k], in iter_critical_cells order, is
-    d-cell k * n! + i.  boundaries[d] holds the map from d-cells to
-    (d-1)-cells as the (starts, rows, vals) column arrays of
-    homology.ChainComplex, rows ascending within each column.  A
-    restriction lists the very corner-set tuples of the complex it was
-    restricted from.
+    order.  S_n acts on labeled cells on the right, x.g = relabel_sign(x,
+    g) relabel(x, g), (g h)[k] = g[h[k]]; a set's generator is its
+    critical cell rep.  columns[s] = {row set T: x_T}, each x_T in Z[S_n]
+    a {perm: coefficient} dict, with d rep = sum_T rep_T.x_T; masks[s] =
+    _odd_mask(rep).  columns, masks and labelings (chain_complex's
+    _Labelings) are shared by a build's restrictions and reductions, so
+    they may hold sets a complex does not list.  counts and chain_complex
+    count labeled cells: labeling i of sets[d][k], the cell relabel(rep,
+    g) = relabel_sign(rep, g) rep.g for g the i-th permutation of range(n)
+    in itertools.permutations order, is d-cell k n! + i.
     """
 
-    def __init__(self, n, board, sets, boundaries):
+    def __init__(self, n, board, sets, columns, masks, labelings):
         self.n = n
         self.board = board
         self.sets = sets
-        self.boundaries = boundaries
+        self.columns = columns
+        self.masks = masks
+        self.labelings = labelings
 
     @property
     def counts(self):
@@ -425,52 +456,129 @@ class MorseComplex:
         return tuple(len(s) * block for s in self.sets)
 
     def chain_complex(self):
-        return ChainComplex(self.counts, tuple(self.boundaries))
+        """The labeled complex, as homology.ChainComplex column arrays.
+
+        Each term c [h] of a set's entry at row set T gives its labeling g
+        the value c relabel_sign(rep, g) relabel_sign(rep_T, h g) at T's
+        labeling h g.  Rows ascend within each column.
+        """
+        labelings = self.labelings
+        block = len(labelings.perms)
+        boundaries = []
+        first = {}  # the degree below: each set's first labeling
+        for sets in self.sets:
+            starts, rows, vals = array("i", [0]), array("i"), array("q")
+            for corners in sets:
+                base = labelings.signs(self.masks[corners])
+                tables = []  # per term: (row, value) in each of the n! columns
+                for target, x in self.columns[corners].items():
+                    row = first[target]
+                    signs = labelings.signs(self.masks[target])
+                    for h, coeff in x.items():
+                        ids = labelings.rows(h)
+                        tables.append([
+                            (row + i, coeff * b * signs[i]) for i, b in zip(ids, base)
+                        ])
+                if not tables:
+                    starts.extend(repeat(len(rows), block))
+                for column in zip(*tables):
+                    r, v = zip(*sorted(column))
+                    rows.extend(r)
+                    vals.extend(v)
+                    starts.append(len(rows))
+            boundaries.append((starts, rows, vals))
+            first = {corners: k * block for k, corners in enumerate(sets)}
+        return ChainComplex(self.counts, tuple(boundaries))
+
+    def reduced(self):
+        """The complex left once every unit entry is cancelled over Z[S_n].
+
+        A unit entry x_ba = e[g], e = +-1, splits off the acyclic summand
+        b -> a: each other column c holding row a becomes c - b x_ba^-1
+        x_ca, so x_cr becomes x_cr - x_br x_ba^-1 x_ca, and a, b and row b
+        go.  Homology over Z, so over every field, is unchanged (algebraic
+        Morse theory).  The next entry cancelled is the one whose column
+        and row hold the fewest entries together, ties broken by (b, a),
+        so the result is deterministic.
+        """
+        columns = {c: dict(self.columns[c]) for sets in self.sets for c in sets}
+        cofaces = {c: {} for c in columns}  # row -> the columns holding it, as dict keys
+        units = {}  # (column, row) of each unit entry, as dict keys
+        for c, column in columns.items():
+            for r, x in column.items():
+                cofaces[r][c] = None
+                if _is_unit(x):
+                    units[(c, r)] = None
+
+        def cost(entry):
+            c, r = entry
+            return len(columns[c]) + len(cofaces[r]), entry
+
+        while units:
+            b, a = min(units, key=cost)
+            column_b = columns.pop(b)
+            for r in column_b:
+                del cofaces[r][b]
+                units.pop((b, r), None)
+            ((g, e),) = column_b.pop(a).items()
+            inv = _inverse(g)
+            for c in cofaces.pop(a):
+                column_c = columns[c]
+                units.pop((c, a), None)
+                # -x_ba^-1 x_ca, so that x_cr becomes x_cr + x_br y
+                y = {tuple([inv[k] for k in h]): -e * v for h, v in column_c.pop(a).items()}
+                for r, x in column_b.items():
+                    z = _times(x, y)
+                    for h, v in column_c.get(r, {}).items():
+                        z[h] = z.get(h, 0) + v
+                    z = {h: v for h, v in z.items() if v}
+                    if z:
+                        column_c[r] = z
+                        cofaces[r][c] = None
+                        if _is_unit(z):
+                            units[(c, r)] = None
+                        else:
+                            units.pop((c, r), None)
+                    elif r in column_c:
+                        del column_c[r]
+                        del cofaces[r][c]
+                        units.pop((c, r), None)
+            for r in columns.pop(a):
+                del cofaces[r][a]
+                units.pop((a, r), None)
+            for c in cofaces.pop(b):
+                del columns[c][b]
+                units.pop((c, b), None)
+        sets = [[c for c in s if c in columns] for s in self.sets]
+        return MorseComplex(self.n, self.board, sets, columns, self.masks, self.labelings)
 
     def betti(self, field="gf2"):
-        return betti(self.chain_complex(), field)
+        """Betti numbers of the reduced complex's labeled expansion, whose
+        d o d = 0 is checked first, and with it the cancellation."""
+        cc = self.reduced().chain_complex()
+        validate_d2(cc)
+        return betti(cc, field)
 
     def restrict(self, p, q):
         """Sub-Morse-complex of critical cells whose apex fits in p x q.
 
-        Keeps or drops each corner set whole, by its corners, and with it
-        its block of n! consecutive columns; the rows of the kept columns
-        are renumbered through the new id of each cell of the degree below,
-        -1 if it was dropped.  Valid because boundaries only move apexes
-        left and down; a dropped row under a kept column would mean the
+        Keeps or drops each corner set, an orbit, by its corners; the kept
+        sets are the very tuples of this complex, and their columns and
+        masks are shared.  Valid because boundaries only move apexes left
+        and down; a dropped row set under a kept column would mean the
         pairing is broken.
         """
         bp, bq = self.board
         if p > bp or q > bq:
             raise ValueError(f"cannot restrict {self.board} to larger ({p}, {q})")
-        block = math.factorial(self.n)
-        sets = []
-        boundaries = []
-        ids = []  # the degree below: each old id's new id, -1 if dropped
-        for old, (starts, rows, vals) in zip(self.sets, self.boundaries):
-            kept = []
-            new_ids = []
-            new_starts, new_rows, new_vals = array("i", [0]), array("i"), array("q")
-            for b, corners in zip(range(0, len(old) * block, block), old):
-                if all(c <= p and r <= q for c, r in corners):
-                    new_ids += range(len(kept) * block, (len(kept) + 1) * block)
-                    kept.append(corners)
-                    lo, hi = starts[b], starts[b + block]
-                    shift = len(new_rows) - lo
-                    new_starts.extend(map(shift.__add__, starts[b + 1:b + block + 1]))
-                    new_rows.extend(map(ids.__getitem__, rows[lo:hi]))
-                    new_vals += vals[lo:hi]
-                else:
-                    new_ids += repeat(-1, block)
-            if -1 in new_rows:
+        sets = [[s for s in old if all(c <= p and r <= q for c, r in s)] for old in self.sets]
+        for below, kept in zip(sets, sets[1:]):
+            below = set(below)
+            if not all(below.issuperset(self.columns[s]) for s in kept):
                 raise AssertionError("restriction dropped the boundary of a kept cell")
-            sets.append(kept)
-            boundaries.append((new_starts, new_rows, new_vals))
-            ids = new_ids
         while len(sets) > 1 and not sets[-1]:
             sets.pop()
-            boundaries.pop()
-        return MorseComplex(self.n, (p, q), sets, boundaries)
+        return MorseComplex(self.n, (p, q), sets, self.columns, self.masks, self.labelings)
 
 
 class _Labelings:
@@ -478,57 +586,69 @@ class _Labelings:
 
     perms lists the permutations of range(n) in itertools.permutations
     order; labeling i of a corner set relabels its critical cell by
-    perms[i].  relabel_sign(cell, perm) depends only on the tuple of flags
-    saying which pieces have an odd number of extensions, so one list of
-    n! signs per such mask serves every cell that has it; the first such
-    cell fills it.  One list of n! row offsets per slot serves every flow
-    target whose pieces lie at those positions of its corner set.
+    perms[i].  relabel_sign(cell, perm) depends only on _odd_mask(cell),
+    so one list of n! signs per mask serves every cell with that mask.
+    One array of n! labeling ids per permutation h gives the id of h g,
+    relabel(h, g), for each g.  Each table is made on first use.
     """
 
     def __init__(self, n):
         self.perms = list(itertools.permutations(range(n)))
         self.perm_id = {perm: i for i, perm in enumerate(self.perms)}
         self._signs = {}  # odd-extension mask -> relabel_sign for each perm
-        self._rows = {}  # slot -> perm_id of slot o perm for each perm
+        self._rows = {}  # h -> perm_id of h g for each perm g
 
-    def signs(self, cell):
-        "relabel_sign(cell, perm) for each perm, from the table of the cell's mask."
-        mask = tuple((pc.left + pc.down) & 1 for pc in cell)
+    def signs(self, mask):
+        "relabel_sign(cell, perm) for each perm, for a cell whose _odd_mask is mask."
         out = self._signs.get(mask)
         if out is None:
+            # a stand-in cell with that mask: odd pieces get one extension
+            cell = tuple(Piece(0, 0, odd, 0) for odd in mask)
             out = self._signs[mask] = [relabel_sign(cell, perm) for perm in self.perms]
         return out
 
-    def rows(self, slot):
-        "Id of the labeling relabel(slot, perm) for each perm."
-        out = self._rows.get(slot)
+    def rows(self, h):
+        "Id of the labeling h g, relabel(h, g), for each perm g."
+        out = self._rows.get(h)
         if out is None:
             perm_id = self.perm_id
-            out = self._rows[slot] = [perm_id[relabel(slot, perm)] for perm in self.perms]
+            out = self._rows[h] = array("i", [perm_id[relabel(h, perm)] for perm in self.perms])
         return out
+
+
+def _check_d2(mc):
+    """Raise AssertionError unless sum_T x_TU x_sT = 0 in Z[S_n] for every
+    set s and every set U two degrees below: d o d = 0 on the generators,
+    and so on every labeled cell."""
+    columns = mc.columns
+    for d in range(2, len(mc.sets)):
+        for s in mc.sets[d]:
+            image = {}
+            for target, x in columns[s].items():
+                for u, y in columns[target].items():
+                    acc = image.setdefault(u, {})
+                    for h, v in _times(y, x).items():
+                        acc[h] = acc.get(h, 0) + v
+            for u, acc in image.items():
+                if any(acc.values()):
+                    raise AssertionError(
+                        f"d o d != 0 between degrees {d} and {d - 2}: orbit {s} to orbit {u}"
+                    )
 
 
 def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     """Morse complex of the full gradient pairing on the n, p, q complex.
 
-    The labeled critical cells are free S_n-orbits of the critical cell of
-    each corner set, so one flow per corner set gives every labeled
-    boundary entry, and the complex lists the corner sets, not the cells.
-    A corner set's n! labelings get consecutive ids of its dimension in
-    itertools.permutations order.  A flow target lies on an earlier corner
-    set T (boundaries move corners left or down), and its relabeling by
-    perm is T's labeling relabel(slot, perm), slot[k] the position of
-    target piece k's corner in T.  Signs are transported through the
-    coordinate-order permutation.  Both come from per-build tables
-    (_Labelings).  As each flow is read back, its corner set's n!
-    consecutive columns are written straight into the column arrays of its
-    dimension, each column's entries sorted by row.  The flows run as one
-    pmap job per corner set of positive dimension, each returning the
-    set's critical cell with its flow, listed by decreasing sum of corner
-    coordinates (that sum bounds how far a flow goes), and are read back
-    in lex order; a set of dimension 0 has no boundary and needs no cell.
-    d o d = 0 is checked here, once.  Over cap, an integer count of
-    labeled critical cells, CellCapExceeded is raised before any flow runs.
+    One flow per corner set of positive dimension, each a pmap job that
+    returns the set's critical cell and its flow, listed by decreasing sum
+    of corner coordinates (that sum bounds how far a flow goes).  A flow
+    target t lies on an earlier corner set T (boundaries move corners left
+    or down) and is relabel(rep_T, slot) = relabel_sign(rep_T, slot)
+    rep_T.slot, slot[k] the position of t's k-th corner in T; so a term
+    (t, c) adds c relabel_sign(rep_T, slot) to [slot] in x_sT.  d o d = 0
+    is checked once, on the generators (_check_d2).  Over cap, an integer
+    count of labeled critical cells, CellCapExceeded is raised before any
+    flow runs.
     """
     from .parallel import pmap
 
@@ -536,6 +656,12 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
     total = len(sets) * math.factorial(n)
     if total > cap:
         raise CellCapExceeded(n, p, q, total, cap)
+    dims = dict(sets)
+    by_dim = [[] for _ in range(max(dims.values(), default=0) + 1)]
+    for corners, dim in sets:
+        by_dim[dim].append(corners)
+    columns = {corners: {} for corners in by_dim[0]}
+    masks = dict.fromkeys(by_dim[0], (0,) * n)
     # heaviest first, so that pmap's snake-wise deal balances the workers
     flowing = sorted(
         (corners for corners, dim in sets if dim > 0),
@@ -543,46 +669,19 @@ def build_morse_complex(n, p, q, threads=1, cap=DEFAULT_CELL_CAP):
         reverse=True,
     )
     jobs = [(p, q, corners) for corners in flowing]
-    flows = dict(zip(flowing, pmap(_flow_chunk, jobs, threads)))
-    labelings = _Labelings(n)
-    block = len(labelings.perms)
-    first = {}  # corner set -> (dim, id of its first labeling)
-    top = max((dim for _, dim in sets), default=0) + 1
-    by_dim = [[] for _ in range(top)]
-    starts = [array("i", [0]) for _ in range(top)]
-    rows = [array("i") for _ in range(top)]
-    vals = [array("q") for _ in range(top)]
-    for corners, dim in sets:
-        first[corners] = (dim, len(by_dim[dim]) * block)
-        by_dim[dim].append(corners)
-        tables = []  # per flow target: (row, coefficient) in each of the n! columns
-        rep, flow = flows.pop(corners, (None, ()))
-        base = labelings.signs(rep) if rep else None
+    for corners, (rep, flow) in zip(flowing, pmap(_flow_chunk, jobs, threads)):
+        masks[corners] = _odd_mask(rep)
+        column = columns[corners] = {}
         for target, coeff in flow:
             corner = [(pc.col, pc.row) for pc in target]
             target_set = tuple(sorted(corner))
-            # a later corner set is not in first yet, and counts as wrong too
-            tdim, row = first.get(target_set, (None, 0))
-            if tdim != dim - 1:
+            if dims.get(target_set) != dims[corners] - 1:
                 raise AssertionError("flow target has wrong dimension")
             slot = tuple(map(target_set.index, corner))
-            signs = labelings.signs(target)
-            tables.append(zip(
-                map(row.__add__, labelings.rows(slot)),
-                [coeff * b * t for b, t in zip(base, signs)],
-            ))
-        col_starts, col_rows, col_vals = starts[dim], rows[dim], vals[dim]
-        if not tables:
-            col_starts.extend(repeat(len(col_rows), block))
-        for column in zip(*tables):
-            # rows ascending within the column: the flow lists its targets by
-            # cell, and their rows' order changes from one labeling to the next
-            r, v = zip(*sorted(column))
-            col_rows.extend(r)
-            col_vals.extend(v)
-            col_starts.append(len(col_rows))
-    mc = MorseComplex(n, (p, q), by_dim, list(zip(starts, rows, vals)))
-    validate_d2(mc.chain_complex())
+            rep_target = relabel(target, _inverse(slot))
+            column.setdefault(target_set, {})[slot] = coeff * relabel_sign(rep_target, slot)
+    mc = MorseComplex(n, (p, q), by_dim, columns, masks, _Labelings(n))
+    _check_d2(mc)
     return mc
 
 

@@ -149,8 +149,8 @@ def test_criterion_4_restriction_correctness():
                         c for cs in full_cells for c in cs
                         if all(pc.col <= p and pc.row <= q for pc in c)
                     ] == [c for cs in shared.labeled_cells(direct) for c in cs]
-                    and [list(x) for x in sub.boundaries]
-                    == [list(x) for x in direct.boundaries]
+                    and [list(x) for x in sub.chain_complex().boundaries]
+                    == [list(x) for x in direct.chain_complex().boundaries]
                 )
                 if not same:
                     bad.append((n, p, q))

@@ -4,7 +4,6 @@ import math
 import os
 import random
 import signal
-from array import array
 
 import pytest
 
@@ -321,7 +320,9 @@ def test_restrict_identity_and_examples():
     mc3 = shared.morse_complex(3, 3, 3)
     same = mc3.restrict(3, 3)
     assert same.counts == mc3.counts
-    assert [list(b) for b in same.boundaries] == [list(b) for b in mc3.boundaries]
+    assert [list(b) for b in same.chain_complex().boundaries] == [
+        list(b) for b in mc3.chain_complex().boundaries
+    ]
     assert mc3.restrict(2, 2).betti("gf2") == (2, 2)
     assert shared.morse_complex(4, 4, 4).restrict(3, 3).betti("gf2") == (1, 12, 11)
 
@@ -329,17 +330,16 @@ def test_restrict_identity_and_examples():
 def test_restrict_refuses_a_kept_column_with_a_dropped_row():
     mc = shared.morse_complex(3, 3, 3)
 
-    def fits(cell):
-        return all(pc.col <= 2 and pc.row <= 2 for pc in cell)
+    def fits(corners):
+        return all(c <= 2 and r <= 2 for c, r in corners)
 
-    # point the first entry of a 1-cell column kept on 2 x 2 at a 0-cell dropped there
-    cells = shared.labeled_cells(mc)
-    starts, rows, vals = mc.boundaries[1]
-    col = next(c for c, cell in enumerate(cells[1]) if fits(cell) and starts[c] < starts[c + 1])
-    rows = array("i", rows)
-    rows[starts[col]] = next(r for r, cell in enumerate(cells[0]) if not fits(cell))
-    boundaries = [mc.boundaries[0], (starts, rows, vals), *mc.boundaries[2:]]
-    broken = morse.MorseComplex(mc.n, mc.board, mc.sets, boundaries)
+    # point the first entry of a 1-orbit column kept on 2 x 2 at a 0-orbit dropped there
+    kept = next(s for s in mc.sets[1] if fits(s) and mc.columns[s])
+    dropped = next(s for s in mc.sets[0] if not fits(s))
+    column = dict(mc.columns[kept])
+    column[dropped] = column.pop(next(iter(column)))
+    columns = {**mc.columns, kept: column}
+    broken = morse.MorseComplex(mc.n, mc.board, mc.sets, columns, mc.masks, mc.labelings)
     with pytest.raises(AssertionError, match="restriction dropped the boundary of a kept cell"):
         broken.restrict(2, 2)
     assert mc.restrict(2, 2).counts == (6, 6)
@@ -365,8 +365,8 @@ def test_restriction_equals_direct_build():
                     c for cs in full_cells for c in cs
                     if all(pc.col <= p and pc.row <= q for pc in c)
                 ] == [c for cs in shared.labeled_cells(direct) for c in cs]
-                assert [list(b) for b in sub.boundaries] == [
-                    list(b) for b in direct.boundaries
+                assert [list(b) for b in sub.chain_complex().boundaries] == [
+                    list(b) for b in direct.chain_complex().boundaries
                 ]
 
 
@@ -415,23 +415,74 @@ def test_build_checks_d2(monkeypatch):
     assert dropped
 
 
-def test_d2_checked_once_per_build(monkeypatch):
+def test_d2_checked_on_orbits_by_the_build_and_labeled_by_betti(monkeypatch):
     from hardsquares import homology
 
-    real = homology.validate_d2
-    calls = []
+    real_labeled, real_orbits = homology.validate_d2, morse._check_d2
+    labeled, orbits = [], []
 
     def counting(cc):
-        calls.append(cc.counts)
-        return real(cc)
+        labeled.append(cc.counts)
+        return real_labeled(cc)
+
+    def counting_orbits(mc):
+        orbits.append(mc.counts)
+        return real_orbits(mc)
 
     for module in (homology, morse):
         monkeypatch.setattr(module, "validate_d2", counting, raising=False)
+    monkeypatch.setattr(morse, "_check_d2", counting_orbits)
     mc = morse.build_morse_complex(3, 3, 3, threads=1)
-    assert calls == [mc.counts]
+    assert (orbits, labeled) == ([mc.counts], [])
+    # restrict checks nothing; betti checks the labeled complex it ranks
     for p, q in ((2, 2), (2, 3), (3, 3)):
-        mc.restrict(p, q).betti("gf2")
-    assert calls == [mc.counts]
+        sub = mc.restrict(p, q)
+        sub.betti("gf2")
+        assert labeled[-1] == sub.reduced().counts
+    assert (len(orbits), len(labeled)) == (1, 3)
+
+
+def test_orbit_complex_equals_the_one_read_off_labeled_flows():
+    # the flow of labeling g of each critical cell, read back through the
+    # signed right action, gives the column the build made from the flow of
+    # the cell itself: in d(rep.g) = sum_T rep_T.(x g), the term x[k] gives
+    # the labeled cell relabel(rep_T, k g) the coefficient
+    # x[k] relabel_sign(rep, g) relabel_sign(rep_T, k g)
+    for n in range(1, 6):
+        g = tuple(range(1, n)) + (0,)
+        g_inverse = tuple(sorted(range(n), key=g.__getitem__))
+        for p in range(1, 6):
+            for q in range(1, 6):
+                if n > p * q:
+                    continue
+                mc = shared.morse_complex(n, p, q)
+                reps = {
+                    corners: morse.critical_cell_for(corners, (p, q))
+                    for sets in mc.sets
+                    for corners in sets
+                }
+                for corners, rep in reps.items():
+                    column = {}
+                    for target, coeff in morse.morse_boundary(grid.relabel(rep, g)).items():
+                        corner = [(pc.col, pc.row) for pc in target]
+                        target_set = tuple(sorted(corner))
+                        h = tuple(map(target_set.index, corner))
+                        sign = grid.relabel_sign(rep, g) * grid.relabel_sign(reps[target_set], h)
+                        column.setdefault(target_set, {})[grid.relabel(h, g_inverse)] = coeff * sign
+                    assert column == mc.columns[corners], (n, p, q, corners)
+
+
+@pytest.mark.parametrize("n, p, q", [(5, 2, 3), (7, 2, 4)])
+def test_one_hole_boards_follow_the_closed_form(n, p, q):
+    # n = pq - 1 leaves one hole: b = (2, f_1 - f_0 + 2) over every field
+    # (Wilson, JCTB 1974)
+    f = grid.f_vector(n, p, q)
+    mc = morse.build_morse_complex(n, p, q)
+    for field in ("gf2", "gf3", "rational"):
+        assert mc.betti(field) == (2, f[1] - f[0] + 2)
+    if n == 7:
+        assert f == (40320, 50400)
+        assert oracle.direct_betti(n, p, q, "gf2") == (2, 10082)
 
 
 def test_every_producer_returns_a_plain_tuple_of_pieces():

@@ -29,10 +29,15 @@ grid.relabel_sign is checked against the plain count of inversions of
 the free coordinates in x1,y1,...,xn,yn order, and relabeling with its
 sign against the cocycle law that makes it a right action of S_n:
 relabeling by g then h is relabeling by gh, gh[k] = g[h[k]], and the
-signs multiply.  The Morse build reads relabel_sign from a table with
-one list of n! signs per odd-extension mask, filled from the first cell
-with that mask; here a random cell of the same size, then the cell with
-every option complemented (same mask), fill the table before it is read.
+signs multiply.  The Morse expansion reads relabel_sign from a table
+with one list of n! signs per odd-extension mask (morse._odd_mask); here
+the masks of a random cell of the same size and of the cell with every
+option complemented (same mask) fill the table before it is read.
+MorseComplex.betti, which cancels unit entries over Z[S_n] and expands
+what is left into labeled cells, is checked over GF(2), GF(3) and the
+rationals against dense ranks of the whole labeled complex on random
+complexes of free Z[S_3]-modules with d o d = 0: sums of a generator or
+a pair b -> a, d b = a x, changed by random changes of basis.
 The pairing's up or down, read from the bit it flips, is checked against
 the dimensions of cell and partner on every cell of three small
 complexes.
@@ -75,7 +80,7 @@ import re
 from array import array
 from collections import deque
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -413,9 +418,116 @@ def test_relabel_sign_is_read_from_the_mask_table(extensions, data):
     other = tuple(grid.Piece(2 * k + 2, 2, *data.draw(options)) for k in range(len(cell)))
     perm = tuple(data.draw(st.permutations(range(len(cell)))))
     table = morse._Labelings(len(cell))
-    table.signs(other)
-    table.signs(filler)
-    assert table.signs(cell)[table.perm_id[perm]] == grid.relabel_sign(cell, perm)
+    table.signs(morse._odd_mask(other))
+    table.signs(morse._odd_mask(filler))
+    assert table.signs(morse._odd_mask(cell))[table.perm_id[perm]] == grid.relabel_sign(cell, perm)
+
+
+S3 = tuple(permutations(range(3)))
+
+
+def group_product(x, y):
+    "x y in Z[S_3], elements as {perm: coefficient} dicts, (g h)[k] = g[h[k]]."
+    out = {}
+    for g, a in x.items():
+        for h, b in y.items():
+            gh = tuple(g[k] for k in h)
+            out[gh] = out.get(gh, 0) + a * b
+    return {g: v for g, v in out.items() if v}
+
+
+def add_entry(column, row, x):
+    "Add x to the entry of column at row, dropping the entry once it is zero."
+    total = dict(column.get(row, {}))
+    for g, v in x.items():
+        total[g] = total.get(g, 0) + v
+    total = {g: v for g, v in total.items() if v}
+    if total:
+        column[row] = total
+    else:
+        column.pop(row, None)
+
+
+group_elements = st.dictionaries(st.sampled_from(S3), st.integers(-2, 2), max_size=3)
+units = st.tuples(st.sampled_from(S3), st.sampled_from((1, -1))).map(lambda gv: dict([gv]))
+
+
+@st.composite
+def free_s3_complexes(draw):
+    """A complex of free Z[S_3]-modules with d o d = 0, as a MorseComplex.
+
+    A sum of pieces, each a generator with no boundary or a pair b -> a with
+    d b = a x (x a unit +-[g] or any small element), has d o d = 0, and so
+    has every complex a change of basis e_i -> e_i + e_k r makes of it: that
+    adds column k times r to column i of d, and subtracts r times row i from
+    row k of the d one degree up.  Generators are ints, each with a random
+    odd-extension mask, so the labeled expansion carries signs.
+    """
+    top = 4
+    sets = [[] for _ in range(top)]
+    columns = {}
+    for _ in range(draw(st.integers(1, 6))):
+        d = draw(st.integers(0, top - 1))
+        a = len(columns)
+        sets[d].append(a)
+        columns[a] = {}
+        if d + 1 < top and draw(st.booleans()):
+            b = len(columns)
+            sets[d + 1].append(b)
+            columns[b] = {}
+            add_entry(columns[b], a, draw(st.one_of(units, group_elements)))
+    for _ in range(draw(st.integers(0, 12))):
+        d = draw(st.integers(0, top - 1))
+        if len(sets[d]) < 2:
+            continue
+        i, k = draw(st.permutations(sets[d]))[:2]
+        r = draw(group_elements)
+        for t, x in list(columns[k].items()):
+            add_entry(columns[i], t, group_product(x, r))
+        for e in sets[d + 1] if d + 1 < top else ():
+            if i in columns[e]:
+                minus_r = {g: -v for g, v in r.items()}
+                add_entry(columns[e], k, group_product(minus_r, columns[e][i]))
+    masks = {a: draw(st.tuples(*[st.integers(0, 1)] * 3)) for a in columns}
+    return morse.MorseComplex(3, (1, 1), sets, columns, masks, morse._Labelings(3))
+
+
+def regular_betti(mc, p):
+    """Betti numbers over GF(p), or Q when p == 0, of the labeled complex:
+    column g of generator s has x[h] at row h g of the generator T, for
+    each term of its entry x at row T.  Dense, and blind to signs, which
+    change no rank."""
+    ids = {g: i for i, g in enumerate(S3)}
+    counts = [len(s) * len(S3) for s in mc.sets]
+    ranks = [0] * (len(counts) + 1)
+    for j in range(1, len(counts)):
+        below = {t: i for i, t in enumerate(mc.sets[j - 1])}
+        rows = [[0] * counts[j] for _ in range(counts[j - 1])]
+        for c, s in enumerate(mc.sets[j]):
+            for t, x in mc.columns[s].items():
+                for h, v in x.items():
+                    for g in S3:
+                        hg = tuple(h[k] for k in g)
+                        rows[6 * below[t] + ids[hg]][6 * c + ids[g]] += v
+        ranks[j] = dense_rank(rows, counts[j], p)
+    return trim(counts[j] - ranks[j] - ranks[j + 1] for j in range(len(counts)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_s3_complexes())
+def test_cancellation_over_z_s3_keeps_the_dense_labeled_ranks(mc):
+    # MorseComplex.betti cancels unit entries over Z[S_3], expands what is
+    # left and checks its d o d = 0 before it ranks it
+    reduced = mc.reduced()
+    assert not any(
+        len(x) == 1 and abs(v) == 1
+        for sets in reduced.sets
+        for s in sets
+        for x in reduced.columns[s].values()
+        for v in x.values()
+    )
+    for field, p in (("gf2", 2), ("gf3", 3), ("rational", 0)):
+        assert mc.betti(field) == regular_betti(mc, p)
 
 
 @pytest.mark.parametrize("n, p, q", [(3, 3, 3), (4, 2, 4), (2, 3, 3)])
